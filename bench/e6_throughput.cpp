@@ -3,20 +3,20 @@
 ///
 /// Adoption-grade numbers: nanoseconds per request across tenant counts,
 /// cache sizes and cost families, on Zipf-skewed multi-tenant streams. The
-/// point of the global cross-tenant eviction index is that ALG-DISCRETE's
-/// per-request work is O(log k) *independent of the number of tenants*;
-/// the `convex-scan` rows (per-tenant heaps scanned on every eviction, the
-/// previous layout) collapse as tenants grow while `convex` stays flat.
+/// point of ALG-DISCRETE's eviction index is that per-request work is
+/// O(log k_i + log n); the `convex-naive` rows (the literal Fig. 3
+/// transcription, O(k) per eviction) grow with the cache while `convex`
+/// stays nearly flat.
 ///
 /// Every run is also written as machine-readable JSON (default
 /// `BENCH_throughput.json`) so CI can track the perf trajectory:
 ///
 ///   e6_throughput --tenants 16,256,4096,65536
-///                 --policies convex,convex-scan,lru --json out.json
+///                 --policies convex,convex-naive,lru --json out.json
 ///
-/// Scan-based baselines are auto-skipped above `--max-scan-tenants`
-/// (the quadratic blow-up is the point; no need to wait hours for it) and
-/// the skip is recorded in the JSON.
+/// `convex-naive` is auto-skipped above `--max-naive-tenants` (its O(k)
+/// blow-up is the point; no need to wait hours for it) and the skip is
+/// recorded in the JSON.
 ///
 /// Two pseudo-policies route the trace through a 1-shard ShardedCache
 /// instead of a bare SimulatorSession, measuring the frontend's hit paths
@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <new>
@@ -63,9 +64,9 @@
 
 // ----------------------------------------------------------------------
 // Counting operator new/delete replacements (whole-binary, this TU only
-// links into e6). The --alloc-stats probe snapshots the counter around a
+// links into e6). The --alloc-stats probes snapshot the counter around a
 // steady-state replay to assert the eviction path performs zero heap
-// allocations per request once the arena-backed index has plateaued. The
+// allocations per request once every table has reached its size. The
 // relaxed increment costs ~1ns per *allocation* — and the claim under
 // test is precisely that steady-state cells allocate nothing, so the
 // hook cannot skew the throughput numbers it rides along with.
@@ -363,43 +364,82 @@ void measure_sharded(BenchRow& row, const Trace& trace, std::size_t capacity,
   }
 }
 
-/// The --alloc-stats probe: replays the first half of the trace through
-/// one ALG-DISCRETE session (warm-up — the residency map reaches its
-/// final size and the arena behind the eviction index plateaus), then
-/// counts operator new calls over the second half. With the bump-pointer
-/// arena backing the lazy index's heap storage, a steady-state eviction
-/// performs zero heap allocations; in Release builds a nonzero count
-/// fails the benchmark (the CI allocation gate).
-BenchRow run_alloc_probe(const Trace& trace, std::size_t capacity,
-                         const std::vector<CostFunctionPtr>& costs,
-                         const std::string& family, std::uint32_t tenants) {
+/// One --alloc-stats probe row: `replay(first, last)` serves requests
+/// [first, last) of the trace. The first half warms up (residency tables,
+/// per-tenant heaps and batch-grouping scratch reach their high-water
+/// sizes), then operator new calls are counted over the second half. In
+/// Release builds a nonzero count fails the benchmark (the CI allocation
+/// gate). `evictions()` reads the probe's eviction total.
+BenchRow alloc_probe(
+    const std::string& policy, const Trace& trace, std::size_t capacity,
+    const std::string& family, std::uint32_t tenants,
+    const std::function<void(std::size_t, std::size_t)>& replay,
+    const std::function<std::uint64_t()>& evictions) {
   BenchRow row;
-  row.policy = "convex-alloc-probe";
+  row.policy = policy;
   row.cost_family = family;
   row.tenants = tenants;
   row.capacity = capacity;
   row.alloc_probe = true;
 
-  ConvexCachingPolicy policy;
-  SimulatorSession session(capacity, tenants, policy, &costs);
-  const std::span<const Request> requests(trace.requests());
-  const std::size_t half = requests.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) (void)session.step(requests[i]);
-
+  const std::size_t half = trace.size() / 2;
+  replay(0, half);
+  const std::uint64_t evictions_before = evictions();
   const std::uint64_t allocs_before = heap_alloc_count();
-  const std::uint64_t evictions_before = session.perf_counters().evictions;
-  for (std::size_t i = half; i < requests.size(); ++i)
-    (void)session.step(requests[i]);
+  replay(half, trace.size());
   row.steady_allocs = heap_alloc_count() - allocs_before;
-  row.steady_evictions =
-      session.perf_counters().evictions - evictions_before;
-  row.steady_requests = requests.size() - half;
+  row.steady_evictions = evictions() - evictions_before;
+  row.steady_requests = trace.size() - half;
 
-  std::cout << "alloc-probe n=" << tenants << " cost=" << family << ": "
+  std::cout << policy << " n=" << tenants << " cost=" << family << ": "
             << row.steady_allocs << " heap allocations over "
             << row.steady_requests << " steady-state requests ("
             << row.steady_evictions << " evictions)\n";
   return row;
+}
+
+/// Allocation probe through one bare ALG-DISCRETE session.
+BenchRow run_alloc_probe(const Trace& trace, std::size_t capacity,
+                         const std::vector<CostFunctionPtr>& costs,
+                         const std::string& family, std::uint32_t tenants) {
+  ConvexCachingPolicy policy;
+  SimulatorSession session(capacity, tenants, policy, &costs);
+  const std::span<const Request> requests(trace.requests());
+  return alloc_probe(
+      "convex-alloc-probe", trace, capacity, family, tenants,
+      [&](std::size_t first, std::size_t last) {
+        for (std::size_t i = first; i < last; ++i)
+          (void)session.step(requests[i]);
+      },
+      [&] { return session.perf_counters().evictions; });
+}
+
+/// Shards of the sharded allocation probe: enough that access_batch takes
+/// its grouping path.
+constexpr std::size_t kProbeShards = 4;
+
+/// Allocation probe through a kProbeShards-shard seqlock ShardedCache
+/// driven by access_batch in `batch`-request windows — the server's path.
+BenchRow run_sharded_alloc_probe(const Trace& trace, std::size_t capacity,
+                                 const std::vector<CostFunctionPtr>& costs,
+                                 const std::string& family,
+                                 std::uint32_t tenants, std::uint64_t seed,
+                                 std::size_t batch) {
+  ShardedCacheOptions options;
+  options.capacity = capacity;
+  options.num_shards = kProbeShards;
+  options.num_tenants = tenants;
+  options.seed = seed;
+  options.hit_path = HitPath::kSeqlock;
+  ShardedCache cache(options, nullptr, &costs);
+  const std::span<const Request> requests(trace.requests());
+  return alloc_probe(
+      "sharded-seqlock-s4-alloc-probe", trace, capacity, family, tenants,
+      [&](std::size_t first, std::size_t last) {
+        for (std::size_t i = first; i < last; i += batch)
+          cache.access_batch(requests.subspan(i, std::min(batch, last - i)));
+      },
+      [&] { return cache.aggregated_perf().evictions; });
 }
 
 /// The sharded cells' zero-drift gate: every (cost, tenants) pair measured
@@ -438,7 +478,7 @@ int run(int argc, const char* const* argv) {
       "cache sizes and cost families; emits JSON for CI perf tracking");
   cli.flag("tenants", "16,256,4096,65536",
            "comma-separated tenant counts to sweep")
-      .flag("policies", "convex,convex-scan,lru",
+      .flag("policies", "convex,convex-naive,lru",
             "comma-separated policy names (see policy_factory); "
             "sharded-locked / sharded-seqlock route through a 1-shard "
             "ShardedCache on the corresponding hit path")
@@ -449,12 +489,10 @@ int run(int argc, const char* const* argv) {
       .flag("skew", "0.9", "Zipf skew of every tenant's stream")
       .flag("repeats", "1", "measured repeats per cell (min wall-clock wins)")
       .flag("seed", "1234", "trace generator seed")
-      .flag("max-scan-tenants", "8192",
-            "skip convex-scan above this tenant count")
       .flag("max-naive-tenants", "64",
             "skip convex-naive above this tenant count")
       .flag("audit", "0",
-            "1 = add an audited twin row per convex/convex-scan cell "
+            "1 = add an audited twin row per convex cell "
             "(requires a CCC_AUDIT build); measures the audit overhead")
       .flag("audit-cadence", "64",
             "audited rows: run the shadow checks every Nth request/eviction")
@@ -469,10 +507,11 @@ int run(int argc, const char* const* argv) {
             "observed rows: time every Nth step (1 = every step; higher "
             "values shrink the observation overhead)")
       .flag("alloc-stats", "0",
-            "1 = add one allocation-probe row per (cost, tenants) cell: "
-            "warm a convex session on the first half of the trace, count "
-            "operator new calls over the second half; Release builds fail "
-            "on a nonzero steady-state count (the CI allocation gate)")
+            "1 = add allocation-probe rows per (cost, tenants) cell — a "
+            "bare convex session and a 4-shard seqlock access_batch "
+            "replay: warm on the first half of the trace, count operator "
+            "new calls over the second half; Release builds fail on a "
+            "nonzero steady-state count (the CI allocation gate)")
       .flag("expect-lockfree-frac", "0",
             "fail unless every sharded-seqlock cell served at least this "
             "fraction of its requests lock-free (0 = no check); the CI "
@@ -491,7 +530,6 @@ int run(int argc, const char* const* argv) {
   const double skew = cli.get_double("skew");
   const std::uint64_t repeats = std::max<std::uint64_t>(1,
                                                         cli.get_u64("repeats"));
-  const std::uint64_t max_scan = cli.get_u64("max-scan-tenants");
   const std::uint64_t max_naive = cli.get_u64("max-naive-tenants");
   const bool audit = cli.get_bool("audit");
   const std::uint64_t audit_cadence =
@@ -526,9 +564,15 @@ int run(int argc, const char* const* argv) {
                                    cli.get_u64("seed"));
     for (const std::string& family : families) {
       const auto costs = make_costs(family, tenants);
-      if (cli.get_bool("alloc-stats"))
+      if (cli.get_bool("alloc-stats")) {
         rows.push_back(
             run_alloc_probe(trace, capacity, costs, family, tenants));
+        if (capacity >= kProbeShards)
+          rows.push_back(run_sharded_alloc_probe(
+              trace, capacity, costs, family, tenants, cli.get_u64("seed"),
+              static_cast<std::size_t>(std::max<std::uint64_t>(
+                  1, cli.get_u64("sharded-batch")))));
+      }
       for (const std::string& policy_name : policies) {
         BenchRow row;
         row.policy = policy_name;
@@ -536,10 +580,7 @@ int run(int argc, const char* const* argv) {
         row.tenants = tenants;
         row.capacity = capacity;
 
-        if (policy_name == "convex-scan" && n64 > max_scan) {
-          row.skipped = true;
-          row.skip_reason = "tenants > max-scan-tenants";
-        } else if (policy_name == "convex-naive" && n64 > max_naive) {
+        if (policy_name == "convex-naive" && n64 > max_naive) {
           row.skipped = true;
           row.skip_reason = "tenants > max-naive-tenants";
         }
@@ -554,8 +595,7 @@ int run(int argc, const char* const* argv) {
         // an audited twin, so the JSON carries overhead pairs. (The sharded
         // pseudo-policies take neither an auditor nor audit twins: the
         // frontend owns its sessions.)
-        const bool audit_capable =
-            policy_name == "convex" || policy_name == "convex-scan";
+        const bool audit_capable = policy_name == "convex";
         for (const bool audited : {false, true}) {
           if (audited && !(audit && audit_capable)) continue;
           BenchRow cell = row;
@@ -646,7 +686,8 @@ int run(int argc, const char* const* argv) {
 #ifdef NDEBUG
       if (row.steady_allocs != 0)
         throw std::runtime_error(
-            "allocation gate: cost=" + row.cost_family + " n=" +
+            "allocation gate: " + row.policy + " cost=" + row.cost_family +
+            " n=" +
             std::to_string(row.tenants) + " performed " +
             std::to_string(row.steady_allocs) +
             " heap allocations at steady state (expected 0)");

@@ -1,11 +1,8 @@
 #include "audit/audit.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <queue>
+#include <limits>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/invariants.hpp"
 #include "core/primal_dual.hpp"
@@ -14,21 +11,6 @@
 namespace ccc {
 
 namespace {
-
-/// Read-only view of a std::priority_queue's underlying container (the
-/// standard protected-member access idiom). The audit needs to *enumerate*
-/// postings, which the queue interface deliberately hides.
-template <typename T, typename Container, typename Compare>
-const Container& heap_container(
-    const std::priority_queue<T, Container, Compare>& q) {
-  struct Peek : std::priority_queue<T, Container, Compare> {
-    static const Container& get(
-        const std::priority_queue<T, Container, Compare>& base) {
-      return base.*&Peek::c;
-    }
-  };
-  return Peek::get(q);
-}
 
 std::string page_str(PageId page) { return std::to_string(page); }
 
@@ -133,16 +115,17 @@ void ConvexCachingAuditor::check_residency_agreement(
               "policy tracks " + std::to_string(policy.pages_.size()) +
                   " pages, cache holds " + std::to_string(cache.size()),
               time);
-  for (const auto& [page, state] : policy.pages_) {
+  for (const auto [page, handle] : policy.pages_) {
     if (!cache.contains(page)) {
       violation("residency",
                 "policy tracks non-resident page " + page_str(page), time);
       continue;
     }
-    if (cache.owner(page) != state.tenant)
+    const TenantId tenant = policy.nodes_[handle].tenant;
+    if (cache.owner(page) != tenant)
       violation("residency",
                 "page " + page_str(page) + " owner mismatch: policy says " +
-                    std::to_string(state.tenant) + ", cache says " +
+                    std::to_string(tenant) + ", cache says " +
                     std::to_string(cache.owner(page)),
                 time);
   }
@@ -152,9 +135,10 @@ void ConvexCachingAuditor::check_budget_bounds(
     const ConvexCachingPolicy& policy, const CacheState& /*cache*/,
     TimeStep time) {
   const double tol = config_.tolerance;
-  for (const auto& [page, state] : policy.pages_) {
+  for (const auto [page, handle] : policy.pages_) {
     ++report_.budget_checks;
-    const double eff = policy.effective(state.key, state.tenant);
+    const ConvexCachingPolicy::Node& node = policy.nodes_[handle];
+    const double eff = policy.effective(node.key, node.tenant);
     if (!std::isfinite(eff)) {
       violation("budget-bounds",
                 "non-finite budget for page " + page_str(page), time);
@@ -169,13 +153,19 @@ void ConvexCachingAuditor::check_budget_bounds(
                 time);
       continue;
     }
-    const double marginal = policy.next_marginal(state.tenant);
+    // Recomputed from m(i), not read from the policy's marginal cache.
+    const CostFunction& f = *(*costs_)[node.tenant];
+    const double m = static_cast<double>(policy.evictions_[node.tenant]);
+    const double marginal =
+        policy.options_.derivative == DerivativeMode::kAnalytic
+            ? f.derivative(m + 1.0)
+            : f.value(m + 1.0) - f.value(m);
     if (eff > marginal + tol)
       violation("budget-bounds",
                 "B(" + page_str(page) + ") = " + std::to_string(eff) +
                     " exceeds next marginal f'(m+1) = " +
                     std::to_string(marginal) + " of tenant " +
-                    std::to_string(state.tenant),
+                    std::to_string(node.tenant),
                 time);
   }
 }
@@ -191,36 +181,36 @@ void ConvexCachingAuditor::check_victim_minimality(
               time);
     return;
   }
+  const auto budget_of = [&policy](ConvexCachingPolicy::Handle handle) {
+    const ConvexCachingPolicy::Node& node = policy.nodes_[handle];
+    return policy.effective(node.key, node.tenant);
+  };
   // Naive Fig. 3 recomputation: argmin of effective budget, lowest page id
   // on ties — exactly what the O(log k) index must reproduce.
   bool found = false;
   double best_eff = 0.0;
   PageId best_page = 0;
-  for (const auto& [page, state] : policy.pages_) {
-    const double eff = policy.effective(state.key, state.tenant);
+  for (const auto [page, handle] : policy.pages_) {
+    const double eff = budget_of(handle);
     if (!found || eff < best_eff || (eff == best_eff && page < best_page)) {
       found = true;
       best_eff = eff;
       best_page = page;
     }
   }
+  const double victim_budget = budget_of(victim_it->second);
   if (best_page != victim)
     violation("victim-minimality",
               "index chose page " + page_str(victim) + " (B=" +
-                  std::to_string(policy.effective(victim_it->second.key,
-                                                  victim_it->second.tenant)) +
+                  std::to_string(victim_budget) +
                   ") but the naive scan finds page " + page_str(best_page) +
                   " (B=" + std::to_string(best_eff) + ")",
               time);
   // Invariant (1c): y_t rises by B(victim), so B(victim) must be ≥ 0.
-  if (all_convex_ && policy.effective(victim_it->second.key,
-                                      victim_it->second.tenant) <
-                         -config_.tolerance)
+  if (all_convex_ && victim_budget < -config_.tolerance)
     violation("dual-nonnegativity",
               "eviction would raise y_t by the negative amount B(" +
-                  page_str(victim) + ") = " +
-                  std::to_string(policy.effective(victim_it->second.key,
-                                                  victim_it->second.tenant)),
+                  page_str(victim) + ") = " + std::to_string(victim_budget),
               time);
 }
 
@@ -228,7 +218,6 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
                                        const CacheState& /*cache*/,
                                        TimeStep time) {
   ++report_.index_checks;
-  const double tol = config_.tolerance;
   if (!std::isfinite(policy.offset_))
     violation("index-state", "global debit offset is not finite", time);
   for (std::size_t t = 0; t < policy.tenant_bump_.size(); ++t)
@@ -237,71 +226,85 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
                 "bump of tenant " + std::to_string(t) + " is not finite",
                 time);
 
-  if (policy.options_.index == VictimIndex::kTenantScan) {
-    // Scan mode: every resident page needs a fresh entry in its tenant's
-    // heap (key match ⇒ the entry scores correctly, keys are exact).
-    std::unordered_set<PageId> covered;
-    for (const auto& heap : policy.heaps_)
-      for (const auto& entry : heap_container(heap)) {
-        const auto it = policy.pages_.find(entry.page);
-        if (it != policy.pages_.end() && it->second.key == entry.key)
-          covered.insert(entry.page);
-      }
-    for (const auto& [page, state] : policy.pages_) {
-      (void)state;
-      if (!covered.contains(page))
-        violation("index-coverage",
-                  "resident page " + page_str(page) +
-                      " has no fresh posting in its tenant heap",
+  // Heap order within each tenant: no entry precedes its parent in
+  // (key, page id) order, and every entry belongs to that tenant.
+  std::size_t entries = 0;
+  for (TenantId t = 0; t < policy.heaps_.size(); ++t) {
+    const std::vector<ConvexCachingPolicy::Handle>& heap = policy.heaps_[t];
+    entries += heap.size();
+    for (std::size_t pos = 0; pos < heap.size(); ++pos) {
+      if (policy.nodes_[heap[pos]].tenant != t)
+        violation("index-heap-order",
+                  "heap of tenant " + std::to_string(t) + " holds page " +
+                      page_str(policy.nodes_[heap[pos]].page) +
+                      " of tenant " +
+                      std::to_string(policy.nodes_[heap[pos]].tenant),
+                  time);
+      if (pos > 0 && policy.precedes(heap[pos], heap[(pos - 1) / 2]))
+        violation("index-heap-order",
+                  "tenant " + std::to_string(t) + ": page " +
+                      page_str(policy.nodes_[heap[pos]].page) + " at slot " +
+                      std::to_string(pos) + " precedes its parent",
                   time);
     }
-    return;
   }
 
-  const auto& entries = heap_container(policy.global_);
-  // Stale-fraction bound: dead postings are compacted 4:1, so the heap can
-  // never grow unboundedly relative to the resident set.
-  const std::size_t bound =
-      std::max(ConvexCachingPolicy::kCompactionMinimum,
-               ConvexCachingPolicy::kCompactionFactor * policy.pages_.size());
-  if (entries.size() > bound)
-    violation("index-compaction",
-              "global heap holds " + std::to_string(entries.size()) +
-                  " postings for " + std::to_string(policy.pages_.size()) +
-                  " resident pages (bound " + std::to_string(bound) + ")",
+  // Handles: every resident page's node names it and records the slot its
+  // handle occupies, and the heaps hold exactly the resident pages.
+  if (entries != policy.pages_.size())
+    violation("index-position",
+              "heaps hold " + std::to_string(entries) + " entries for " +
+                  std::to_string(policy.pages_.size()) + " resident pages",
               time);
-
-  // A posting is fresh iff it refers to the page's *current* budget
-  // setting (key match). Lazy-invalidation soundness: each resident page
-  // must have a fresh posting, and its best fresh posting must not
-  // over-estimate key + bump — otherwise the heap could surface a wrong
-  // minimum before it.
-  std::unordered_map<PageId, double> min_fresh_score;
-  for (const auto& entry : entries) {
-    const auto it = policy.pages_.find(entry.page);
-    if (it == policy.pages_.end() || it->second.tenant != entry.tenant ||
-        it->second.key != entry.key)
-      continue;  // dead posting — skipped lazily by the index, fine
-    const auto [slot, inserted] =
-        min_fresh_score.try_emplace(entry.page, entry.score);
-    if (!inserted) slot->second = std::min(slot->second, entry.score);
-  }
-  for (const auto& [page, state] : policy.pages_) {
-    const auto it = min_fresh_score.find(page);
-    if (it == min_fresh_score.end()) {
-      violation("index-coverage",
-                "resident page " + page_str(page) +
-                    " has no fresh posting in the global heap",
+  for (const auto [page, handle] : policy.pages_) {
+    const ConvexCachingPolicy::Node& node = policy.nodes_[handle];
+    const bool placed = node.page == page &&
+                        node.tenant < policy.heaps_.size() &&
+                        node.pos < policy.heaps_[node.tenant].size() &&
+                        policy.heaps_[node.tenant][node.pos] == handle;
+    if (!placed)
+      violation("index-position",
+                "page " + page_str(page) + " records slot " +
+                    std::to_string(node.pos) +
+                    " but its handle is not there",
                 time);
-      continue;
+  }
+
+  // Winner tree: every leaf equals its tenant's argmin of (key + bump,
+  // page id), recomputed by a full scan, and every internal node holds the
+  // better of its two children.
+  for (TenantId t = 0; t < policy.heaps_.size(); ++t) {
+    ConvexCachingPolicy::Leaf best{std::numeric_limits<double>::infinity(),
+                                   ConvexCachingPolicy::kNoPage};
+    for (const ConvexCachingPolicy::Handle handle : policy.heaps_[t]) {
+      const ConvexCachingPolicy::Node& node = policy.nodes_[handle];
+      const double score = node.key + policy.tenant_bump_[t];
+      if (score < best.score || (score == best.score && node.page < best.page))
+        best = {score, node.page};
     }
-    const double current = state.key + policy.tenant_bump_[state.tenant];
-    if (it->second > current + tol)
-      violation("index-soundness",
-                "best fresh posting of page " + page_str(page) +
-                    " scores " + std::to_string(it->second) +
-                    " > key + bump = " + std::to_string(current) +
-                    " — the lazy heap would rank it too low",
+    const ConvexCachingPolicy::Leaf& leaf = policy.leaves_[t];
+    if (leaf.score != best.score || leaf.page != best.page)
+      violation("index-tree",
+                "leaf of tenant " + std::to_string(t) + " holds page " +
+                    page_str(leaf.page) + " at " + std::to_string(leaf.score) +
+                    ", its argmin is page " + page_str(best.page) + " at " +
+                    std::to_string(best.score),
+                time);
+  }
+  for (std::size_t node = 1; node < policy.tree_.size(); ++node) {
+    const TenantId left = policy.winner_at(2 * node);
+    const TenantId right = policy.winner_at(2 * node + 1);
+    const TenantId better = policy.leaf_before(right, left) ? right : left;
+    const ConvexCachingPolicy::Leaf& want = policy.leaves_[better];
+    const TenantId held = policy.tree_[node];
+    if (held >= policy.leaves_.size() ||
+        policy.leaves_[held].score != want.score ||
+        policy.leaves_[held].page != want.page)
+      violation("index-tree",
+                "tree node " + std::to_string(node) + " holds tenant " +
+                    std::to_string(held) +
+                    " but its children are won by tenant " +
+                    std::to_string(better),
                 time);
   }
 }

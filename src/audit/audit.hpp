@@ -21,12 +21,11 @@
 ///     marginal. Both are skipped automatically for non-convex §2.5 costs,
 ///     where Fig. 3 gives no guarantee.
 ///  4. **Eviction-index consistency**: the policy's resident-page table
-///     matches the simulator's cache; every resident page is covered by a
-///     fresh posting (key match) whose score does not over-estimate
-///     `key + tenant bump` (the lazy-invalidation soundness invariant);
-///     global offset and per-tenant bumps are finite; dead postings stay
-///     within the compaction bound
-///     `max(kCompactionMinimum, kCompactionFactor · live)`.
+///     matches the simulator's cache; global offset and per-tenant bumps
+///     are finite; heap order holds within each tenant's heap; every
+///     handle's recorded slot holds that handle; and every winner-tree
+///     leaf equals its tenant's argmin of (key + bump, page id), with each
+///     internal node holding the better of its children.
 ///  5. **ALG-CONT shadow** (opt-in): the observed request stream is
 ///     replayed through `run_alg_cont` at end of run and the full §2.3
 ///     certificate is verified by `check_invariants` (Lemma 2.1), plus an

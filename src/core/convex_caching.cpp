@@ -1,6 +1,10 @@
 #include "core/convex_caching.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <string>
 
 #include "util/check.hpp"
 
@@ -15,6 +19,8 @@ double marginal_at(const CostFunction& f, std::uint64_t m,
   if (mode == DerivativeMode::kAnalytic) return f.derivative(x + 1.0);
   return f.value(x + 1.0) - f.value(x);
 }
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -35,46 +41,136 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
   tenant_bump_.assign(ctx.num_tenants, 0.0);
   evictions_.assign(ctx.num_tenants, 0);
   dual_mass_.assign(ctx.num_tenants, 0.0);
-  heaps_.assign(
-      options_.index == VictimIndex::kTenantScan ? ctx.num_tenants : 0,
-      MinHeap{});
-  // Drop the old postings *before* rewinding their arena (their storage
-  // dangles the moment the arena resets), then recycle the blocks.
-  global_ = empty_heap();
-  index_arena_.reset();
+  marginal_.assign(ctx.num_tenants, 0.0);
+  for (TenantId t = 0; t < ctx.num_tenants; ++t) cache_marginal(t);
   pages_.clear();
   pages_.reserve(ctx.capacity);
-  tenant_pages_.clear();
-  registry_arena_.reset();
-  track_tenant_pages_ = false;
-  marginal_scratch_.assign(ctx.num_tenants, 0.0);
+  nodes_.clear();
+  nodes_.reserve(ctx.capacity);
+  free_.clear();
+  // Each heap starts with room for twice its fair share, so the steady
+  // state rarely (and after warm-up never) grows one.
+  heaps_.resize(ctx.num_tenants);
+  const std::size_t share =
+      2 * ctx.capacity / std::max<std::size_t>(1, ctx.num_tenants) + 1;
+  for (std::vector<Handle>& heap : heaps_) {
+    heap.clear();
+    heap.reserve(share);
+  }
+  leaves_.assign(std::max<std::size_t>(2, std::bit_ceil(std::size_t{
+                                              ctx.num_tenants})),
+                 Leaf{kInfinity, kNoPage});
+  tree_.assign(leaves_.size(), 0);
+  rebuild_tree();
   last_evict_moved_offset_ = false;
   last_evict_refreshed_tenant_ = false;
   current_window_ = 0;
   counters_ = PerfCounters{};
 }
 
-void ConvexCachingPolicy::rebuild_index() {
-  ++counters_.index_rebuilds;
-  if (options_.index == VictimIndex::kTenantScan) {
-    for (auto& heap : heaps_) heap = MinHeap{};
-    for (const auto& [page, state] : pages_)
-      heaps_[state.tenant].push(HeapEntry{state.key, page});
-    return;
+void ConvexCachingPolicy::cache_marginal(TenantId tenant) {
+  const double marginal = marginal_at(*(*costs_)[tenant], evictions_[tenant],
+                                      options_.derivative);
+  CCC_CHECK(std::isfinite(marginal),
+            "ConvexCaching: the marginal cost of tenant " +
+                std::to_string(tenant) + "'s next miss is " +
+                std::to_string(marginal) + " after " +
+                std::to_string(evictions_[tenant]) +
+                " misses; budgets are no longer finite");
+  marginal_[tenant] = marginal;
+}
+
+// -- per-tenant heaps ---------------------------------------------------------
+
+void ConvexCachingPolicy::sift_up(std::vector<Handle>& heap,
+                                  std::uint32_t pos) {
+  const Handle h = heap[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!precedes(h, heap[parent])) break;
+    heap[pos] = heap[parent];
+    nodes_[heap[pos]].pos = pos;
+    pos = parent;
   }
-  // Compaction boundary = arena epoch boundary: destroy the old postings,
-  // rewind the arena, and build the replacement out of the recycled blocks.
-  // After the first few cycles the block set plateaus at the heap's
-  // high-water footprint and this path never touches the global heap
-  // allocator again.
-  global_ = empty_heap();
-  index_arena_.reset();
-  IndexVector entries(index_alloc());
-  entries.reserve(pages_.size());
-  for (const auto& [page, state] : pages_)
-    entries.push_back(IndexEntry{state.key + tenant_bump_[state.tenant],
-                                 state.key, page, state.tenant});
-  global_ = GlobalHeap(std::greater<IndexEntry>{}, std::move(entries));
+  heap[pos] = h;
+  nodes_[h].pos = pos;
+}
+
+void ConvexCachingPolicy::sift_down(std::vector<Handle>& heap,
+                                    std::uint32_t pos) {
+  const Handle h = heap[pos];
+  const auto size = static_cast<std::uint32_t>(heap.size());
+  while (true) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && precedes(heap[child + 1], heap[child])) ++child;
+    if (!precedes(heap[child], h)) break;
+    heap[pos] = heap[child];
+    nodes_[heap[pos]].pos = pos;
+    pos = child;
+  }
+  heap[pos] = h;
+  nodes_[h].pos = pos;
+}
+
+void ConvexCachingPolicy::resift(std::vector<Handle>& heap,
+                                 std::uint32_t pos) {
+  if (pos > 0 && precedes(heap[pos], heap[(pos - 1) / 2]))
+    sift_up(heap, pos);
+  else
+    sift_down(heap, pos);
+}
+
+// -- winner tree over tenants -------------------------------------------------
+
+PageId ConvexCachingPolicy::lowest_tie(const std::vector<Handle>& heap,
+                                       std::size_t pos, double score,
+                                       double bump) const {
+  // Children never score below their parent (keys only grow downward and
+  // rounding is monotone), so a child scoring above `score` prunes its
+  // whole subtree.
+  PageId best = nodes_[heap[pos]].page;
+  const std::size_t end = std::min(2 * pos + 3, heap.size());
+  for (std::size_t child = 2 * pos + 1; child < end; ++child)
+    if (nodes_[heap[child]].key + bump == score)
+      best = std::min(best, lowest_tie(heap, child, score, bump));
+  return best;
+}
+
+ConvexCachingPolicy::Leaf ConvexCachingPolicy::best_of(TenantId tenant) const {
+  const std::vector<Handle>& heap = heaps_[tenant];
+  if (heap.empty()) return Leaf{kInfinity, kNoPage};
+  // Two keys of one tenant may round to the same key + bump; the paper's
+  // tie-break then wants the lower page id, which need not be the top's.
+  const double bump = tenant_bump_[tenant];
+  const double score = nodes_[heap[0]].key + bump;
+  return Leaf{score, lowest_tie(heap, 0, score, bump)};
+}
+
+void ConvexCachingPolicy::refresh_tenant(TenantId tenant) {
+  const Leaf leaf = best_of(tenant);
+  Leaf& stored = leaves_[tenant];
+  if (leaf.score == stored.score && leaf.page == stored.page) return;
+  stored = leaf;
+  for (std::size_t node = (leaves_.size() + tenant) / 2; node > 0;
+       node /= 2) {
+    const TenantId left = winner_at(2 * node);
+    const TenantId right = winner_at(2 * node + 1);
+    const TenantId winner = leaf_before(right, left) ? right : left;
+    // A node this tenant neither won nor wins keeps its winner, and so
+    // does everything above it.
+    if (winner != tenant && tree_[node] != tenant) break;
+    tree_[node] = winner;
+  }
+}
+
+void ConvexCachingPolicy::rebuild_tree() {
+  for (TenantId t = 0; t < heaps_.size(); ++t) leaves_[t] = best_of(t);
+  for (std::size_t node = leaves_.size() - 1; node > 0; --node) {
+    const TenantId left = winner_at(2 * node);
+    const TenantId right = winner_at(2 * node + 1);
+    tree_[node] = leaf_before(right, left) ? right : left;
+  }
 }
 
 void ConvexCachingPolicy::maybe_roll_window(TimeStep time) {
@@ -83,186 +179,74 @@ void ConvexCachingPolicy::maybe_roll_window(TimeStep time) {
   if (window == current_window_) return;
   current_window_ = window;
   ++counters_.window_rollovers;
+  ++counters_.index_rebuilds;
   // New accounting window: every tenant's miss count restarts at zero, so
-  // every marginal — and therefore every budget — re-bases.
+  // every marginal — and therefore every budget — re-bases. All keys of a
+  // tenant become equal, so each heap re-heapifies by page id.
   std::fill(evictions_.begin(), evictions_.end(), 0);
   std::fill(tenant_bump_.begin(), tenant_bump_.end(), 0.0);
   offset_ = 0.0;
-  // Re-base every resident budget. The per-tenant marginals (virtual
-  // calls) are hoisted into a dense table so the page pass is a flat,
-  // branchless select over the residency table's SoA slot arrays —
-  // autovectorizable, unlike a proxy-iterator loop with an indirect call
-  // per resident page.
-  for (TenantId t = 0; t < marginal_scratch_.size(); ++t)
-    marginal_scratch_[t] = next_marginal(t);
-  const double* marginal = marginal_scratch_.data();
-  const std::uint64_t* keys = pages_.key_data();
-  PageState* vals = pages_.value_data();
-  const std::size_t slots =
-      marginal_scratch_.empty() ? 0 : pages_.slot_count();
-  for (std::size_t i = 0; i < slots; ++i) {
-    // Dead slots select index 0 and write their own key back, keeping the
-    // loop body branch-free (a dead slot's tenant field may be stale).
-    const bool live = keys[i] != util::FlatMap<PageState>::kEmptyKey;
-    const std::size_t t = live ? vals[i].tenant : 0;
-    vals[i].key = live ? marginal[t] : vals[i].key;
+  for (TenantId t = 0; t < heaps_.size(); ++t) {
+    cache_marginal(t);
+    std::vector<Handle>& heap = heaps_[t];
+    for (const Handle h : heap) nodes_[h].key = marginal_[t];
+    for (auto pos = static_cast<std::uint32_t>(heap.size() / 2); pos-- > 0;)
+      sift_down(heap, pos);
   }
-  rebuild_index();
+  rebuild_tree();
 }
 
-double ConvexCachingPolicy::next_marginal(TenantId tenant) const {
-  return marginal_at(*(*costs_)[tenant], evictions_[tenant],
-                     options_.derivative);
-}
-
-void ConvexCachingPolicy::push_global(PageId page, TenantId tenant,
-                                      double key) {
-  global_.push(IndexEntry{key + tenant_bump_[tenant], key, page, tenant});
-}
-
-void ConvexCachingPolicy::maybe_compact() {
-  if (global_.size() < kCompactionMinimum) return;
-  if (global_.size() <= kCompactionFactor * pages_.size()) return;
-  rebuild_index();
-}
-
-void ConvexCachingPolicy::set_budget(PageId page, TenantId tenant) {
-  // Freeze the budget against the current offsets; the old index entry (if
-  // any) becomes stale and is skipped lazily.
-  const double key = next_marginal(tenant) - tenant_bump_[tenant] + offset_;
-  pages_[page] = PageState{key, tenant};
-  if (options_.index == VictimIndex::kTenantScan) {
-    heaps_[tenant].push(HeapEntry{key, page});
-    return;
-  }
-  push_global(page, tenant, key);
-  if (track_tenant_pages_) tenant_pages_[tenant].insert_or_assign(page, 1);
-  maybe_compact();
-}
+// -- Fig. 3 -------------------------------------------------------------------
 
 void ConvexCachingPolicy::on_hit(const Request& request, TimeStep time) {
   maybe_roll_window(time);
-  // Fig. 3, first bullet: refresh B(p_t) on every access.
-  set_budget(request.page, request.tenant);
-}
-
-bool ConvexCachingPolicy::clean_top(TenantId tenant, HeapEntry& top) {
-  MinHeap& heap = heaps_[tenant];
-  while (!heap.empty()) {
-    const HeapEntry candidate = heap.top();
-    const auto it = pages_.find(candidate.page);
-    if (it != pages_.end() && it->second.tenant == tenant &&
-        it->second.key == candidate.key) {
-      top = candidate;
-      return true;
-    }
-    heap.pop();  // stale: page evicted or budget re-set since
-    ++counters_.heap_pops;
-    ++counters_.stale_skips;
-  }
-  return false;
-}
-
-PageId ConvexCachingPolicy::choose_victim_scan() {
-  // The global debit offset shifts every effective budget equally, so only
-  // the per-tenant bumps differentiate tenants: victim = argmin over
-  // tenants of (clean heap top key + tenant bump), ties broken by page id.
-  bool found = false;
-  double best_eff = 0.0;
-  PageId best_page = 0;
-  for (TenantId tenant = 0; tenant < heaps_.size(); ++tenant) {
-    HeapEntry top;
-    if (!clean_top(tenant, top)) continue;
-    const double eff = effective(top.key, tenant);
-    if (!found || eff < best_eff ||
-        (eff == best_eff && top.page < best_page)) {
-      found = true;
-      best_eff = eff;
-      best_page = top.page;
-    }
-  }
-  CCC_CHECK(found, "ConvexCaching asked for a victim with an empty cache");
-  return best_page;
-}
-
-PageId ConvexCachingPolicy::choose_victim_global() {
-  // Lazy-invalidation invariant: every resident page has at least one
-  // posting whose score is ≤ its current (key + bump) — postings go stale
-  // only by under-estimating (bumps of convex tenants only grow; shrinking
-  // bumps are repaired eagerly by repost_tenant). Popping in (score, page)
-  // order therefore surfaces the true minimum — with the paper's
-  // lowest-page-id tie-break — as the first posting that validates.
-  while (!global_.empty()) {
-    const IndexEntry top = global_.top();
-    const auto it = pages_.find(top.page);
-    if (it == pages_.end() || it->second.tenant != top.tenant ||
-        it->second.key != top.key) {
-      // Page evicted, or its budget was refreshed since: a newer posting
-      // covers it (or nothing needs to).
-      global_.pop();
-      ++counters_.heap_pops;
-      ++counters_.stale_skips;
-      continue;
-    }
-    const double score = top.key + tenant_bump_[top.tenant];
-    if (score != top.score) {
-      // The tenant was bumped since this posting: re-post at the current
-      // score and keep looking. Within one call bumps are constant, so
-      // each posting is re-pushed at most once — the loop terminates.
-      global_.pop();
-      ++counters_.heap_pops;
-      ++counters_.stale_skips;
-      push_global(top.page, top.tenant, top.key);
-      continue;
-    }
-    return top.page;
-  }
-  CCC_CHECK(false, "ConvexCaching asked for a victim with an empty cache");
-  return 0;  // unreachable
+  // Fig. 3, first bullet: refresh B(p_t) on every access. Between
+  // evictions the refreshed key is bit-identical to the stored one.
+  const auto it = pages_.find(request.page);
+  CCC_CHECK(it != pages_.end(), "ConvexCaching hit on an untracked page");
+  Node& node = nodes_[it->second];
+  const double key = fresh_key(node.tenant);
+  if (key == node.key) return;
+  node.key = key;
+  resift(heaps_[node.tenant], node.pos);
+  refresh_tenant(node.tenant);
 }
 
 PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
                                           TimeStep time) {
   maybe_roll_window(time);
   ++counters_.evictions;
-  return options_.index == VictimIndex::kTenantScan ? choose_victim_scan()
-                                                    : choose_victim_global();
-}
-
-void ConvexCachingPolicy::repost_tenant(TenantId owner) {
-  if (!track_tenant_pages_) {
-    // First non-convex bump decrease of the run: materialize the registry
-    // (arena-backed sets — never default-construct a PageSet, that would
-    // silently fall back to the heap allocator).
-    tenant_pages_.clear();
-    tenant_pages_.reserve(tenant_bump_.size());
-    for (std::size_t t = 0; t < tenant_bump_.size(); ++t)
-      tenant_pages_.emplace_back(
-          util::ArenaAllocator<std::uint8_t>(&registry_arena_));
-    for (const auto& [page, state] : pages_)
-      tenant_pages_[state.tenant].insert_or_assign(page, 1);
-    track_tenant_pages_ = true;
-  }
-  // PageSet iterators yield reference proxies; bind by value.
-  for (const auto [page, mark] : tenant_pages_[owner]) {
-    (void)mark;
-    push_global(page, owner, pages_.at(page).key);
-  }
-  maybe_compact();
+  const PageId victim = leaves_[tree_[1]].page;
+  CCC_CHECK(victim != kNoPage,
+            "ConvexCaching asked for a victim with an empty cache");
+  return victim;
 }
 
 void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
                                    TimeStep /*time*/) {
-  const auto it = pages_.find(victim);
-  CCC_CHECK(it != pages_.end(), "ConvexCaching evicting an untracked page");
-  const double victim_budget = effective(it->second.key, owner);
+  const std::optional<Handle> handle = pages_.take(victim);
+  CCC_CHECK(handle.has_value(), "ConvexCaching evicting an untracked page");
+  const Node& node = nodes_[*handle];
+  CCC_CHECK(node.tenant == owner, "ConvexCaching evicting under a wrong owner");
+  const double victim_budget = effective(node.key, owner);
   // The dual variable y_t of ALG-CONT rises by exactly B(victim) at this
   // eviction (DESIGN.md §13); bank it against the victim's owner so the
   // cost tracker can assemble its online lower bound without re-walking
   // any state. One add — hits never reach this path.
   dual_mass_[owner] += victim_budget;
-  pages_.erase(it);
-  if (track_tenant_pages_) tenant_pages_[owner].erase(victim);
+
+  // Remove the victim's heap entry: the last entry fills its slot.
+  std::vector<Handle>& heap = heaps_[owner];
+  const std::uint32_t pos = node.pos;
+  const Handle last = heap.back();
+  heap.pop_back();
+  if (last != *handle) {
+    heap[pos] = last;
+    nodes_[last].pos = pos;
+    resift(heap, pos);
+  }
+  free_.push_back(*handle);
+  ++counters_.heap_pops;
 
   // Fig. 3: debit every surviving page by B(p) — one offset update. A
   // zero victim budget leaves the offset bit-identical, so survivors'
@@ -276,10 +260,10 @@ void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
 
   // The victim's tenant just incurred a miss: m(owner) grows, and the
   // marginal of its *next* miss moves from f'(m+1) to f'(m+2).
-  const std::uint64_t m_before = evictions_[owner]++;
-  const CostFunction& f = *(*costs_)[owner];
-  const double delta = marginal_at(f, m_before + 1, options_.derivative) -
-                       marginal_at(f, m_before, options_.derivative);
+  const double marginal_before = marginal_[owner];
+  ++evictions_[owner];
+  cache_marginal(owner);
+  const double delta = marginal_[owner] - marginal_before;
   // The owner's re-freeze inputs moved iff its next-marginal value did:
   // with a zero delta both the marginal and the bump (when enabled) are
   // bit-identical to before, so the owner's keys still re-freeze exactly
@@ -287,14 +271,10 @@ void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
   // algebraic cancellation (marginal+δ) − (bump+δ) is not FP-bit-exact,
   // so the owner's stamps must go stale.
   last_evict_refreshed_tenant_ = delta != 0.0;
-  if (options_.bump_victim_tenant) {
-    tenant_bump_[owner] += delta;
-    // Convex costs only grow the bump, which the global index absorbs
-    // lazily; a shrinking bump (§2.5 non-convex costs) makes existing
-    // postings over-estimate, so re-post the tenant's pages eagerly.
-    if (delta < 0.0 && options_.index == VictimIndex::kGlobalHeap)
-      repost_tenant(owner);
-  }
+  // The bump shifts all of the owner's pages together, so it moves only
+  // the owner's leaf, never the order inside its heap.
+  if (options_.bump_victim_tenant) tenant_bump_[owner] += delta;
+  refresh_tenant(owner);
 }
 
 void ConvexCachingPolicy::on_insert(const Request& request, TimeStep time) {
@@ -302,20 +282,34 @@ void ConvexCachingPolicy::on_insert(const Request& request, TimeStep time) {
   // Fig. 3: B(p_t) ← f'(m+1). Inserted after the offset/bump updates of the
   // same step, so the new page is exempt from this step's debit — exactly
   // the "p' ∉ {p, p_t}" exclusion.
-  set_budget(request.page, request.tenant);
+  const Handle handle =
+      free_.empty() ? static_cast<Handle>(nodes_.size()) : free_.back();
+  CCC_CHECK(pages_.try_emplace(request.page, handle),
+            "ConvexCaching inserting an already tracked page");
+  if (free_.empty())
+    nodes_.emplace_back();
+  else
+    free_.pop_back();
+  std::vector<Handle>& heap = heaps_[request.tenant];
+  const auto pos = static_cast<std::uint32_t>(heap.size());
+  nodes_[handle] = Node{fresh_key(request.tenant), request.page,
+                        request.tenant, pos};
+  heap.push_back(handle);
+  sift_up(heap, pos);
+  refresh_tenant(request.tenant);
 }
 
 double ConvexCachingPolicy::budget(PageId page) const {
   const auto it = pages_.find(page);
   CCC_REQUIRE(it != pages_.end(), "budget() of a non-resident page");
-  return effective(it->second.key, it->second.tenant);
+  const Node& node = nodes_[it->second];
+  return effective(node.key, node.tenant);
 }
 
 std::string ConvexCachingPolicy::name() const {
   std::string n = "ConvexCaching";
   if (options_.derivative == DerivativeMode::kDiscreteMarginal)
     n += "[discrete]";
-  if (options_.index == VictimIndex::kTenantScan) n += "[scan-index]";
   if (!options_.debit_survivors) n += "[no-debit]";
   if (!options_.bump_victim_tenant) n += "[no-bump]";
   if (options_.window_length > 0)

@@ -17,40 +17,39 @@
 /// This class is the production implementation. The "debit everyone" step
 /// is folded into a global offset (it cannot change the argmin) and the
 /// per-tenant bump into a per-tenant offset, so per-page keys are immutable
-/// between touches. Victim selection is served by one of two indexes:
+/// between touches. Every page of a tenant shares that tenant's bump, so
+/// pages never change order *within* a tenant between touches, and the
+/// victim is the cheapest page of the cheapest tenant:
 ///
-///  - `VictimIndex::kGlobalHeap` (default): a single cross-tenant lazy
-///    min-heap over (key + tenant bump, page id). Per-tenant bumps
-///    invalidate that tenant's entries *lazily* — a popped entry whose
-///    stored score no longer matches `key + tenant_bump_[i]` is re-pushed
-///    at its current score — so every operation is amortized O(log k)
-///    regardless of the number of tenants. This is the Landlord-style
-///    credit-index layout (Young's on-line file caching) applied to the
-///    paper's budgets.
-///  - `VictimIndex::kTenantScan`: one lazy min-heap per tenant, scanned in
-///    full on each eviction — O(n_tenants) per miss. Kept as the second
-///    differential-testing implementation and as the benchmark baseline
-///    showing what the global index buys at high tenant counts.
+///  - one binary min-heap per tenant over (frozen key, page id), addressed
+///    through stable node handles, so a refreshed or evicted page is
+///    re-sifted or removed in place — the index never holds a stale entry;
+///  - a winner tree over tenants whose leaf i holds tenant i's best
+///    `(key + tenant_bump_[i], page id)`. Floating-point addition is
+///    monotone, so the pages whose `key + bump` rounds to the heap top's
+///    score sit in a connected region at the heap root, and a pruned walk
+///    from the root finds the lowest page id among them.
 ///
-/// Both indexes compute budgets with the identical floating-point
-/// expressions, so on integer-valued cost families their victim sequences
-/// match each other — and the literal Fig. 3 transcription
-/// (NaiveConvexCachingPolicy) — bit for bit.
+/// The tree root is therefore the argmin of (key + tenant bump, page id)
+/// over all resident pages — Fig. 3's smallest budget with the paper's
+/// lowest-page-id tie-break — and on integer-valued cost families the
+/// victim sequence matches the literal Fig. 3 transcription
+/// (NaiveConvexCachingPolicy) bit for bit. A refresh re-sifts one heap and
+/// an eviction removes one heap entry; either replays at most one tree path
+/// (O(log k_i + log n)). A refresh that leaves the key unchanged skips the
+/// sift, and an update that leaves the tenant's best entry unchanged skips
+/// the replay.
 ///
 /// §2.5: with `DerivativeMode::kDiscreteMarginal` the analytic derivative
 /// is replaced by `f(m+1) − f(m)`, which supports arbitrary — non-convex,
 /// even discontinuous — cost functions (no guarantee, but a working
-/// algorithm; experiment E5). Non-convex costs can *shrink* a tenant's
-/// bump; the global index then eagerly re-posts that tenant's pages (lazy
-/// invalidation is only sound for monotone growth), tracked by a page
-/// registry that is materialized on first need so convex runs pay nothing.
+/// algorithm; experiment E5). A non-convex cost can *shrink* a tenant's
+/// bump; that moves the tenant's leaf but never the order inside its heap.
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "sim/policy.hpp"
-#include "util/arena.hpp"
 #include "util/flat_map.hpp"
 
 namespace ccc {
@@ -61,16 +60,9 @@ enum class DerivativeMode {
   kDiscreteMarginal,  ///< f(m+1) − f(m), the §2.5 generalization
 };
 
-/// Which data structure answers "page with the smallest budget".
-enum class VictimIndex {
-  kGlobalHeap,  ///< cross-tenant lazy min-heap — amortized O(log k)
-  kTenantScan,  ///< per-tenant heaps + full scan — O(n_tenants) per evict
-};
-
 /// Ablation switches for experiment E5. Production defaults: all on.
 struct ConvexCachingOptions {
   DerivativeMode derivative = DerivativeMode::kAnalytic;
-  VictimIndex index = VictimIndex::kGlobalHeap;
   /// Fig. 3 step "B(p') ← B(p') − B(p)". Off ⇒ budgets never decay and the
   /// policy degenerates toward evict-lowest-marginal-tenant.
   bool debit_survivors = true;
@@ -92,11 +84,6 @@ struct ConvexCachingOptions {
 
 class ConvexCachingPolicy final : public ReplacementPolicy {
  public:
-  /// Dead postings tolerated per live page before the global heap compacts.
-  static constexpr std::size_t kCompactionFactor = 4;
-  /// Heaps smaller than this never compact (rebuild overhead dominates).
-  static constexpr std::size_t kCompactionMinimum = 64;
-
   explicit ConvexCachingPolicy(ConvexCachingOptions options = {});
 
   void reset(const PolicyContext& ctx) override;
@@ -142,9 +129,9 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
            options_.debit_survivors && options_.bump_victim_tenant;
   }
 
-  /// Live entry count of the global index (diagnostic; 0 in scan mode).
+  /// Entries in the eviction index — one per resident page (diagnostic).
   [[nodiscard]] std::size_t index_size() const noexcept {
-    return global_.size();
+    return pages_.size();
   }
 
   /// The run configuration (audit layer + diagnostics).
@@ -173,13 +160,31 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   }
 
  private:
-  /// The `src/audit` shadow-checker reads the index internals (postings,
-  /// offsets, bumps) to verify them against naive recomputation; the test
-  /// peer additionally *corrupts* them to prove each audit fires.
+  /// The `src/audit` shadow-checker reads the index internals (heaps,
+  /// handles, tree, offsets, bumps) to verify them against naive
+  /// recomputation; the test peer additionally *corrupts* them to prove
+  /// each audit fires.
   friend class ConvexCachingAuditor;
   friend struct AuditTestPeer;
-  /// Marginal cost of tenant i's next miss given its current eviction count.
-  [[nodiscard]] double next_marginal(TenantId tenant) const;
+
+  /// Stable index of a resident page's Node while the page stays resident.
+  using Handle = std::uint32_t;
+
+  /// A resident page: its frozen key, owner, and slot in the owner's heap.
+  struct Node {
+    double key;
+    PageId page;
+    TenantId tenant;
+    std::uint32_t pos;
+  };
+
+  /// Tenant i's best entry: min (key + tenant_bump_[i], page id) over its
+  /// resident pages; `kNoPage` at +inf when it has none.
+  struct Leaf {
+    double score;
+    PageId page;
+  };
+  static constexpr PageId kNoPage = ~PageId{0};
 
   /// Effective budget from a stored key:
   ///   eff = key + tenant_bump_[i] − offset_
@@ -188,78 +193,50 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
     return key + tenant_bump_[tenant] - offset_;
   }
 
-  void set_budget(PageId page, TenantId tenant);
+  /// Caches f'_i(m_i + 1), the marginal cost of tenant i's next miss, and
+  /// fails loudly when it is not finite (a budget built from it would be
+  /// NaN or infinite and no longer order anything).
+  void cache_marginal(TenantId tenant);
 
-  // -- per-tenant index (VictimIndex::kTenantScan) --------------------------
-
-  struct HeapEntry {
-    double key;
-    PageId page;
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-      if (a.key != b.key) return a.key > b.key;
-      return a.page > b.page;
-    }
-  };
-  using MinHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                                      std::greater<HeapEntry>>;
-
-  /// Pops stale entries; returns false if the tenant has no resident page.
-  [[nodiscard]] bool clean_top(TenantId tenant, HeapEntry& top);
-
-  [[nodiscard]] PageId choose_victim_scan();
-
-  // -- global index (VictimIndex::kGlobalHeap) ------------------------------
-
-  /// One posting in the cross-tenant index. `score` is the cross-tenant
-  /// comparison value `key + tenant_bump_[tenant]` frozen at push time
-  /// (the global `offset_` shifts every page equally and is left out);
-  /// `key` identifies which budget-setting this posting refers to, so a
-  /// page whose budget was refreshed since invalidates all its older
-  /// postings.
-  struct IndexEntry {
-    double score;
-    double key;
-    PageId page;
-    TenantId tenant;
-    friend bool operator>(const IndexEntry& a, const IndexEntry& b) {
-      if (a.score != b.score) return a.score > b.score;
-      return a.page > b.page;
-    }
-  };
-  /// Postings live in a bump-pointer arena: pushes and compaction rebuilds
-  /// recycle the arena's retained blocks instead of hitting the heap, so
-  /// the steady-state eviction path performs zero allocations (the e6
-  /// `--alloc-stats` CI gate asserts exactly this).
-  using IndexAlloc = util::ArenaAllocator<IndexEntry>;
-  using IndexVector = std::vector<IndexEntry, IndexAlloc>;
-  using GlobalHeap =
-      std::priority_queue<IndexEntry, IndexVector, std::greater<IndexEntry>>;
-
-  [[nodiscard]] IndexAlloc index_alloc() noexcept {
-    return IndexAlloc(&index_arena_);
-  }
-  /// An empty arena-backed heap (never default-construct GlobalHeap — that
-  /// would silently fall back to the global heap allocator).
-  [[nodiscard]] GlobalHeap empty_heap() {
-    return GlobalHeap(std::greater<IndexEntry>{}, IndexVector(index_alloc()));
+  /// Frozen key of a budget set now: the tenant's next marginal, shifted by
+  /// the current offsets.
+  [[nodiscard]] double fresh_key(TenantId tenant) const {
+    return marginal_[tenant] - tenant_bump_[tenant] + offset_;
   }
 
-  void push_global(PageId page, TenantId tenant, double key);
+  // -- per-tenant heaps, ordered by (key, page id) --------------------------
 
-  [[nodiscard]] PageId choose_victim_global();
+  [[nodiscard]] bool precedes(Handle a, Handle b) const {
+    const Node& x = nodes_[a];
+    const Node& y = nodes_[b];
+    return x.key < y.key || (x.key == y.key && x.page < y.page);
+  }
+  void sift_up(std::vector<Handle>& heap, std::uint32_t pos);
+  void sift_down(std::vector<Handle>& heap, std::uint32_t pos);
+  /// Restores heap order around `pos` after its key changed either way.
+  void resift(std::vector<Handle>& heap, std::uint32_t pos);
 
-  /// Rebuilds the global heap from the resident set when dead postings
-  /// outnumber live pages by `kCompactionFactor` (hit-heavy streams refresh
-  /// budgets far more often than evictions drain postings).
-  void maybe_compact();
+  // -- winner tree over tenants ---------------------------------------------
 
-  /// Rebuilds every index structure from the resident set `pages_`.
-  void rebuild_index();
-
-  /// Non-convex repair: tenant `owner`'s bump just *decreased*, so its
-  /// existing postings over-estimate; re-posts every resident page of that
-  /// tenant at the current score. Materializes `tenant_pages_` on first use.
-  void repost_tenant(TenantId owner);
+  [[nodiscard]] bool leaf_before(TenantId a, TenantId b) const {
+    const Leaf& x = leaves_[a];
+    const Leaf& y = leaves_[b];
+    return x.score < y.score || (x.score == y.score && x.page < y.page);
+  }
+  [[nodiscard]] TenantId winner_at(std::size_t node) const {
+    return node >= leaves_.size() ? static_cast<TenantId>(node - leaves_.size())
+                                  : tree_[node];
+  }
+  /// Tenant i's best entry recomputed from its heap (the tie walk).
+  [[nodiscard]] Leaf best_of(TenantId tenant) const;
+  /// Lowest page id in the subtree at `pos` whose key + bump == score.
+  [[nodiscard]] PageId lowest_tie(const std::vector<Handle>& heap,
+                                  std::size_t pos, double score,
+                                  double bump) const;
+  /// Recomputes tenant i's leaf; replays its tree path only if it moved.
+  void refresh_tenant(TenantId tenant);
+  /// Recomputes every leaf and internal node.
+  void rebuild_tree();
 
   /// Windowed mode: on crossing a window boundary, resets miss counts and
   /// re-bases every resident budget (O(k), once per window).
@@ -268,37 +245,20 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   ConvexCachingOptions options_;
   const std::vector<CostFunctionPtr>* costs_ = nullptr;
 
-  /// Frozen key + owner of a resident page (one hash lookup on hot paths).
-  struct PageState {
-    double key;
-    TenantId tenant;
-  };
-
-  /// Arena-backed open-addressing set used as the per-tenant page registry
-  /// (insert/erase are rehash-amortized into the arena, so the non-convex
-  /// repost path also stays allocation-free at steady state).
-  using PageSet =
-      util::FlatMap<std::uint8_t, util::ArenaAllocator<std::uint8_t>>;
-
   double offset_ = 0.0;                  ///< cumulative global debit
   std::vector<double> tenant_bump_;      ///< cumulative per-tenant bumps
+  std::vector<double> marginal_;         ///< f'_i(m_i + 1), cached
   std::vector<std::uint64_t> evictions_; ///< m(i, t)
   std::vector<double> dual_mass_;        ///< Σ B(victim) per victim owner
-  std::vector<MinHeap> heaps_;           ///< scan mode: one heap per tenant
-  // Declaration order matters: the arenas must outlive (so: precede) every
-  // container whose allocator points into them.
-  util::Arena index_arena_;     ///< backs the global heap's postings
-  util::Arena registry_arena_;  ///< backs the tenant_pages_ sets
-  /// Heap mode: one heap, all tenants (arena-backed — see IndexVector).
-  GlobalHeap global_{std::greater<IndexEntry>{},
-                     IndexVector(IndexAlloc(&index_arena_))};
-  util::FlatMap<PageState> pages_;       ///< resident pages (flat, SoA)
-  /// Resident pages per tenant; only maintained once a bump has decreased
-  /// (possible only for non-convex costs), empty and untouched otherwise.
-  std::vector<PageSet> tenant_pages_;
-  bool track_tenant_pages_ = false;
-  /// Scratch for the windowed re-base (hoisted per-tenant marginals).
-  std::vector<double> marginal_scratch_;
+  util::FlatMap<Handle> pages_;          ///< resident page → node handle
+  std::vector<Node> nodes_;              ///< handle → node
+  std::vector<Handle> free_;             ///< recycled handles
+  std::vector<std::vector<Handle>> heaps_;  ///< per-tenant min-heaps
+  /// One leaf per tenant, padded with empty leaves to a power of two ≥ 2.
+  std::vector<Leaf> leaves_;
+  /// Winner tree: tree_[node] is the tenant winning the subtree at `node`
+  /// (root 1; children 2n and 2n+1; node ≥ leaves_.size() is a leaf).
+  std::vector<TenantId> tree_;
   bool last_evict_moved_offset_ = false;
   bool last_evict_refreshed_tenant_ = false;
   std::size_t current_window_ = 0;

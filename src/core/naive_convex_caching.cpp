@@ -1,5 +1,8 @@
 #include "core/naive_convex_caching.hpp"
 
+#include <cmath>
+#include <string>
+
 #include "util/check.hpp"
 
 namespace ccc {
@@ -26,9 +29,17 @@ void NaiveConvexCachingPolicy::reset(const PolicyContext& ctx) {
 double NaiveConvexCachingPolicy::derivative_at(TenantId tenant,
                                                double next_miss) const {
   const CostFunction& f = *(*costs_)[tenant];
-  if (options_.derivative == DerivativeMode::kAnalytic)
-    return f.derivative(next_miss);
-  return f.value(next_miss) - f.value(next_miss - 1.0);
+  const double marginal =
+      options_.derivative == DerivativeMode::kAnalytic
+          ? f.derivative(next_miss)
+          : f.value(next_miss) - f.value(next_miss - 1.0);
+  CCC_CHECK(std::isfinite(marginal),
+            "NaiveConvexCaching: the marginal cost of tenant " +
+                std::to_string(tenant) + "'s next miss is " +
+                std::to_string(marginal) + " after " +
+                std::to_string(evictions_[tenant]) +
+                " misses; budgets are no longer finite");
+  return marginal;
 }
 
 void NaiveConvexCachingPolicy::on_hit(const Request& request,

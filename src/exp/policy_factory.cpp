@@ -35,11 +35,6 @@ std::unique_ptr<ReplacementPolicy> make_policy(const std::string& name) {
   if (name == "landlord") return std::make_unique<LandlordPolicy>();
   if (name == "static") return std::make_unique<StaticPartitionPolicy>();
   if (name == "convex") return std::make_unique<ConvexCachingPolicy>();
-  if (name == "convex-scan") {
-    ConvexCachingOptions options;
-    options.index = VictimIndex::kTenantScan;
-    return std::make_unique<ConvexCachingPolicy>(options);
-  }
   if (name == "convex-naive")
     return std::make_unique<NaiveConvexCachingPolicy>();
   if (name == "convex-discrete") {
@@ -51,8 +46,7 @@ std::unique_ptr<ReplacementPolicy> make_policy(const std::string& name) {
   throw std::invalid_argument(
       "unknown policy '" + name +
       "'; valid: lru clock 2q arc fifo lfu random marking rand-marking lru2 "
-      "landlord static convex convex-scan convex-naive convex-discrete "
-      "belady");
+      "landlord static convex convex-naive convex-discrete belady");
 }
 
 std::vector<std::string> online_policy_names() {

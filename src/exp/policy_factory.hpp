@@ -4,9 +4,9 @@
 ///
 /// Known names: lru, clock, 2q, arc, fifo, lfu, random, marking, lru2
 /// (LRU-K with K=2), landlord, static (equal-quota static partition),
-/// convex (ALG-DISCRETE, global O(log k) eviction index), convex-scan
-/// (per-tenant-heap index, O(n_tenants) per eviction), convex-naive,
-/// convex-discrete (§2.5 marginals), belady (offline).
+/// convex (ALG-DISCRETE, O(log k + log n) eviction index), convex-naive
+/// (the literal Fig. 3 transcription, O(k) per eviction), convex-discrete
+/// (§2.5 marginals), belady (offline).
 
 #include <memory>
 #include <string>

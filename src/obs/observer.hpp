@@ -17,9 +17,9 @@
 ///    observation overhead down — unsampled non-eviction steps then cost
 ///    the session only a countdown decrement).
 ///  - `eviction_index_work`: heap pops + stale skips charged to each
-///    eviction — the per-eviction price of the lazy index. Exact per
-///    eviction regardless of the sample period (every eviction step is
-///    observed).
+///    eviction — the per-eviction price of the index (1 for ALG-DISCRETE,
+///    which removes one heap entry and never skips). Exact per eviction
+///    regardless of the sample period (every eviction step is observed).
 ///  - counters for steps, evictions, window rollovers, index rebuilds and
 ///    shard rebalances, derived from `PerfCounters` deltas. Totals are
 ///    exact up to the last observed step; with a sample period > 1, up to

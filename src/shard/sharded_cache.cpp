@@ -297,19 +297,7 @@ void ShardedCache::process_group(Shard& shard, std::span<const Request> batch,
 }
 
 void ShardedCache::access_batch(std::span<const Request> batch) {
-  if (shards_.size() == 1) {
-    process_group(*shards_[0], batch, nullptr, nullptr, 0);
-    return;
-  }
-  // Group by shard without reordering within a group: bucket the request
-  // indices, then drain bucket by bucket under one lock each.
-  std::vector<std::vector<std::size_t>> groups(shards_.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    groups[shard_of(batch[i].page)].push_back(i);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (groups[s].empty()) continue;
-    process_group(*shards_[s], batch, &groups[s], nullptr, 0);
-  }
+  dispatch(batch, nullptr, 0);
 }
 
 void ShardedCache::access_batch(std::span<const Request> batch,
@@ -319,16 +307,27 @@ void ShardedCache::access_batch(std::span<const Request> batch,
   // across shards.
   const std::size_t base = events.size();
   events.resize(base + batch.size());
+  dispatch(batch, &events, base);
+}
+
+void ShardedCache::dispatch(std::span<const Request> batch,
+                            std::vector<StepEvent>* events, std::size_t base) {
   if (shards_.size() == 1) {
-    process_group(*shards_[0], batch, nullptr, &events, base);
+    process_group(*shards_[0], batch, nullptr, events, base);
     return;
   }
-  std::vector<std::vector<std::size_t>> groups(shards_.size());
+  // Group by shard without reordering within a group: bucket the request
+  // indices, then drain bucket by bucket under one lock each. The buckets
+  // are per-thread scratch that keeps its capacity, so a caller that has
+  // seen a batch of this size before allocates nothing.
+  thread_local std::vector<std::vector<std::size_t>> groups;
+  if (groups.size() < shards_.size()) groups.resize(shards_.size());
+  for (std::size_t s = 0; s < shards_.size(); ++s) groups[s].clear();
   for (std::size_t i = 0; i < batch.size(); ++i)
     groups[shard_of(batch[i].page)].push_back(i);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (groups[s].empty()) continue;
-    process_group(*shards_[s], batch, &groups[s], &events, base);
+    process_group(*shards_[s], batch, &groups[s], events, base);
   }
 }
 

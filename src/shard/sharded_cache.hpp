@@ -293,6 +293,10 @@ class ShardedCache {
   void process_group(Shard& shard, std::span<const Request> batch,
                      const std::vector<std::size_t>* group,
                      std::vector<StepEvent>* events, std::size_t base);
+  /// Both access_batch overloads: groups `batch` by shard and drains each
+  /// group; `events` (when non-null) receives outcomes from `base` on.
+  void dispatch(std::span<const Request> batch,
+                std::vector<StepEvent>* events, std::size_t base);
 
   ShardedCacheOptions options_;
   const std::vector<CostFunctionPtr>* costs_ = nullptr;

@@ -17,13 +17,7 @@ TenantId CacheState::owner(PageId page) const {
 
 void CacheState::insert(PageId page, TenantId tenant) {
   CCC_REQUIRE(!full(), "inserting into a full cache — evict first");
-  CCC_REQUIRE(!resident_.contains(page), "page is already resident");
-  resident_.insert_or_assign(page, tenant);
-}
-
-void CacheState::erase(PageId page) {
-  const auto erased = resident_.erase(page);
-  CCC_REQUIRE(erased == 1, "evicting a page that is not resident");
+  CCC_REQUIRE(resident_.try_emplace(page, tenant), "page is already resident");
 }
 
 void CacheState::set_capacity(std::size_t capacity) {

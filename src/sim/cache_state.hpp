@@ -4,6 +4,8 @@
 ///        by a tenant. Pure bookkeeping — replacement decisions live in
 ///        ReplacementPolicy implementations.
 
+#include <optional>
+
 #include "trace/types.hpp"
 #include "util/flat_map.hpp"
 
@@ -23,16 +25,20 @@ class CacheState {
   /// Owner of a resident page; throws if not resident.
   [[nodiscard]] TenantId owner(PageId page) const;
 
-  /// Inserts a page. Throws if already resident or if the cache is full
-  /// (the simulator must evict first — this enforces the §1.2 constraint).
+  /// Inserts a page with one probe. Throws if already resident or if the
+  /// cache is full (the simulator must evict first — this enforces the
+  /// §1.2 constraint).
   void insert(PageId page, TenantId tenant);
 
-  /// Evicts a page; throws if not resident.
-  void erase(PageId page);
+  /// Evicts a page with one probe and returns its owner; nullopt (and no
+  /// change) if the page is not resident.
+  [[nodiscard]] std::optional<TenantId> take(PageId page) {
+    return resident_.take(page);
+  }
 
   /// Changes the capacity (shard rebalancing). The resident set is left
   /// untouched, so after a shrink `size()` may temporarily exceed the new
-  /// capacity; the owner must drain via erase() before the next insert()
+  /// capacity; the owner must drain via take() before the next insert()
   /// (SimulatorSession::resize does exactly that).
   void set_capacity(std::size_t capacity);
 

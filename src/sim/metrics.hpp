@@ -18,16 +18,21 @@
 namespace ccc {
 
 /// Lightweight performance counters for one simulation run: how much work
-/// the policy's victim index did, and how fast the run was. Policies that
-/// maintain heaps report pops and lazy-invalidation skips; the simulator
-/// fills in requests, evictions and wall-clock time. All fields are plain
-/// counts so recording them costs one increment on the hot path.
+/// the policy's victim index did, and how fast the run was. Policies with
+/// an index report its work; the simulator fills in requests, evictions
+/// and wall-clock time. All fields are plain counts so recording them
+/// costs one increment on the hot path.
+///
+/// ALG-DISCRETE (ConvexCachingPolicy) keeps no stale entries: `heap_pops`
+/// counts one index removal per eviction, `stale_skips` stays 0 (kept for
+/// the benchmark's per-layer report and any lazy index), and
+/// `index_rebuilds` counts the window re-heapifies.
 struct PerfCounters {
   std::uint64_t requests = 0;        ///< requests processed
   std::uint64_t evictions = 0;       ///< victims chosen (== index queries)
-  std::uint64_t heap_pops = 0;       ///< entries popped from index heaps
+  std::uint64_t heap_pops = 0;       ///< entries removed from index heaps
   std::uint64_t stale_skips = 0;     ///< popped entries that were stale
-  std::uint64_t index_rebuilds = 0;  ///< full index rebuilds (window/compact)
+  std::uint64_t index_rebuilds = 0;  ///< full index rebuilds
   std::uint64_t window_rollovers = 0;  ///< accounting-window boundary crossings
   std::uint64_t lockfree_hits = 0;   ///< hits served by the optimistic path
   double wall_seconds = 0.0;         ///< wall-clock time of the request loop

@@ -107,16 +107,16 @@ StepEvent SimulatorSession::step_impl(const Request& request) {
     else
       victim = policy_.quota_victim(request, time_);
     if (victim.has_value()) {
-      CCC_CHECK(cache_.contains(*victim),
-                "policy chose a non-resident victim");
 #ifdef CCC_AUDIT_ENABLED
       if (auditor_ != nullptr)
         auditor_->on_victim_chosen(request, *victim, cache_, policy_, time_);
 #endif
-      const TenantId victim_owner = cache_.owner(*victim);
-      cache_.erase(*victim);
-      metrics_.record_eviction(victim_owner);
-      policy_.on_evict(*victim, victim_owner, time_);
+      // Residency probes per evicting miss: the lookup above, this take
+      // and the insert below.
+      const std::optional<TenantId> victim_owner = cache_.take(*victim);
+      CCC_CHECK(victim_owner.has_value(), "policy chose a non-resident victim");
+      metrics_.record_eviction(*victim_owner);
+      policy_.on_evict(*victim, *victim_owner, time_);
       event.victim = victim;
       event.victim_owner = victim_owner;
     }
@@ -147,19 +147,18 @@ void SimulatorSession::resize(std::size_t new_capacity) {
   cache_.set_capacity(new_capacity);
   while (cache_.size() > new_capacity) {
     const PageId victim = policy_.choose_victim(Request{0, 0}, time_);
-    CCC_CHECK(cache_.contains(victim), "policy chose a non-resident victim");
-    const TenantId owner = cache_.owner(victim);
-    cache_.erase(victim);
-    metrics_.record_eviction(owner);
-    policy_.on_evict(victim, owner, time_);
+    const std::optional<TenantId> owner = cache_.take(victim);
+    CCC_CHECK(owner.has_value(), "policy chose a non-resident victim");
+    metrics_.record_eviction(*owner);
+    policy_.on_evict(victim, *owner, time_);
   }
 }
 
 void SimulatorSession::invalidate(PageId page) {
-  const TenantId owner = cache_.owner(page);
-  cache_.erase(page);
-  metrics_.record_eviction(owner);
-  policy_.on_evict(page, owner, time_);
+  const std::optional<TenantId> owner = cache_.take(page);
+  CCC_REQUIRE(owner.has_value(), "invalidating a page that is not resident");
+  metrics_.record_eviction(*owner);
+  policy_.on_evict(page, *owner, time_);
 }
 
 SimResult run_trace(const Trace& trace, std::size_t capacity,

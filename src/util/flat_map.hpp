@@ -30,7 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -50,15 +50,11 @@ namespace ccc::util {
   return x ^ (x >> 31);
 }
 
-/// `Alloc` (a std-compatible allocator for Value, rebound internally for
-/// the key array) defaults to the global heap; policies that must not
-/// allocate on their steady-state path back it with util::ArenaAllocator.
-template <typename Value, typename Alloc = std::allocator<Value>>
+template <typename Value>
 class FlatMap {
  public:
   using key_type = std::uint64_t;
   using mapped_type = Value;
-  using allocator_type = Alloc;
 
   /// Reserved slot marker; never a valid key.
   static constexpr key_type kEmptyKey = ~key_type{0};
@@ -137,9 +133,6 @@ class FlatMap {
   using const_iterator = Iter<true>;
 
   FlatMap() = default;
-  /// Stateful-allocator construction (e.g. over a util::Arena).
-  explicit FlatMap(const Alloc& alloc)
-      : keys_(KeyAlloc(alloc)), values_(alloc) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -187,6 +180,23 @@ class FlatMap {
     const auto [slot_value, inserted] = insert_slot(key);
     *slot_value = std::move(value);
     return inserted;
+  }
+
+  /// Inserts `value` unless `key` is present (a present key keeps its
+  /// value); one probe. Returns true when the key was newly inserted.
+  bool try_emplace(key_type key, Value value) {
+    const auto [slot_value, inserted] = insert_slot(key);
+    if (inserted) *slot_value = std::move(value);
+    return inserted;
+  }
+
+  /// Removes `key` and returns its value, or nullopt when absent; one probe.
+  [[nodiscard]] std::optional<Value> take(key_type key) {
+    const std::size_t slot = find_slot(key);
+    if (slot == kNoSlot) return std::nullopt;
+    std::optional<Value> value(std::move(values_[slot]));
+    erase_at(slot);
+    return value;
   }
 
   /// Erase by key; returns the number of elements removed (0 or 1).
@@ -314,8 +324,8 @@ class FlatMap {
   }
 
   void rehash(std::size_t new_capacity) {
-    KeyVector old_keys = std::move(keys_);
-    ValueVector old_values = std::move(values_);
+    std::vector<key_type> old_keys = std::move(keys_);
+    std::vector<Value> old_values = std::move(values_);
     keys_.assign(new_capacity, kEmptyKey);
     values_.assign(new_capacity, Value{});
     mask_ = new_capacity - 1;
@@ -330,13 +340,8 @@ class FlatMap {
     }
   }
 
-  using KeyAlloc =
-      typename std::allocator_traits<Alloc>::template rebind_alloc<key_type>;
-  using KeyVector = std::vector<key_type, KeyAlloc>;
-  using ValueVector = std::vector<Value, Alloc>;
-
-  KeyVector keys_;
-  ValueVector values_;
+  std::vector<key_type> keys_;
+  std::vector<Value> values_;
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
 };

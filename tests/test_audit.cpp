@@ -2,7 +2,7 @@
 //
 // Two halves:
 //  - Clean runs: the auditor attached to honest ConvexCachingPolicy runs
-//    across cost families, index modes and window modes must report zero
+//    across cost families, derivative modes and window modes must report zero
 //    violations while actually exercising every check (positive counters).
 //  - Mutation runs: AuditTestPeer (a friend of ConvexCachingPolicy)
 //    corrupts one piece of internal state at a time, and the matching
@@ -40,9 +40,6 @@ struct AuditTestPeer {
                          double delta) {
     p.tenant_bump_[tenant] += delta;
   }
-  static void shift_key(ConvexCachingPolicy& p, PageId page, double delta) {
-    p.pages_.at(page).key += delta;
-  }
   static void add_tenant_evictions(ConvexCachingPolicy& p, TenantId tenant,
                                    std::uint64_t delta) {
     p.evictions_[tenant] += delta;
@@ -50,15 +47,38 @@ struct AuditTestPeer {
   static void drop_page_tracking(ConvexCachingPolicy& p, PageId page) {
     p.pages_.erase(page);
   }
-  static void clear_global_heap(ConvexCachingPolicy& p) {
-    p.global_ = p.empty_heap();
+  /// A tenant whose heap holds at least `size` entries.
+  static TenantId tenant_with(const ConvexCachingPolicy& p, std::size_t size) {
+    for (TenantId t = 0; t < p.heaps_.size(); ++t)
+      if (p.heaps_[t].size() >= size) return t;
+    throw std::logic_error("no tenant holds enough pages");
   }
-  static void flood_global_heap(ConvexCachingPolicy& p, std::size_t count) {
-    // Dead postings: page ids far outside any trace universe, so every one
-    // fails the residency lookup and only the compaction bound can object.
-    for (std::size_t i = 0; i < count; ++i)
-      p.global_.push(ConvexCachingPolicy::IndexEntry{
-          1e18, 1e18, PageId{1'000'000'000} + i, 0});
+  /// Swaps a heap's root with its first child and re-records both slots,
+  /// so only the heap order is broken.
+  static void swap_heap_slots(ConvexCachingPolicy& p, TenantId tenant) {
+    std::vector<ConvexCachingPolicy::Handle>& heap = p.heaps_[tenant];
+    std::swap(heap[0], heap[1]);
+    p.nodes_[heap[0]].pos = 0;
+    p.nodes_[heap[1]].pos = 1;
+  }
+  /// Points a node's recorded slot at a slot its handle does not occupy.
+  static void corrupt_position(ConvexCachingPolicy& p, TenantId tenant) {
+    p.nodes_[p.heaps_[tenant][0]].pos = 1;
+  }
+  /// Moves a tenant's leaf away from its heap's argmin without replaying
+  /// the tree, as a skipped refresh would.
+  static void stale_leaf(ConvexCachingPolicy& p, TenantId tenant) {
+    p.leaves_[tenant].score -= 1.0;
+  }
+  /// Hands the tree root to a tenant that does not win it.
+  static void stale_root(ConvexCachingPolicy& p) {
+    const TenantId winner = p.tree_[1];
+    for (TenantId t = 0; t < p.heaps_.size(); ++t)
+      if (t != winner && p.leaves_[t].page != p.leaves_[winner].page) {
+        p.tree_[1] = t;
+        return;
+      }
+    throw std::logic_error("no other tenant to crown");
   }
 };
 
@@ -108,7 +128,7 @@ bool fired(const AuditReport& report, const std::string& check) {
 }
 
 /// Session + auditor wired together, cache pre-filled past its capacity so
-/// budgets, postings and offsets are all non-trivial before a test corrupts
+/// budgets, heaps and offsets are all non-trivial before a test corrupts
 /// anything.
 struct Rig {
   explicit Rig(ConvexCachingOptions policy_options = {},
@@ -146,7 +166,6 @@ struct CleanCase {
   const char* name;
   std::vector<CostFunctionPtr> (*costs)(std::uint32_t);
   DerivativeMode derivative;
-  VictimIndex index;
   std::size_t window;
 };
 
@@ -160,7 +179,6 @@ TEST_P(AuditCleanRunTest, NoFalsePositives) {
 
   ConvexCachingOptions options;
   options.derivative = c.derivative;
-  options.index = c.index;
   options.window_length = c.window;
   ConvexCachingPolicy policy(options);
 
@@ -182,25 +200,14 @@ TEST_P(AuditCleanRunTest, NoFalsePositives) {
 INSTANTIATE_TEST_SUITE_P(
     Families, AuditCleanRunTest,
     ::testing::Values(
-        CleanCase{"monomial_global", monomial_costs, DerivativeMode::kAnalytic,
-                  VictimIndex::kGlobalHeap, 0},
-        CleanCase{"monomial_scan", monomial_costs, DerivativeMode::kAnalytic,
-                  VictimIndex::kTenantScan, 0},
+        CleanCase{"monomial", monomial_costs, DerivativeMode::kAnalytic, 0},
         CleanCase{"monomial_windowed", monomial_costs,
-                  DerivativeMode::kAnalytic, VictimIndex::kGlobalHeap, 64},
+                  DerivativeMode::kAnalytic, 64},
         CleanCase{"monomial_discrete", monomial_costs,
-                  DerivativeMode::kDiscreteMarginal, VictimIndex::kGlobalHeap,
-                  0},
-        CleanCase{"sla_global", sla_costs, DerivativeMode::kAnalytic,
-                  VictimIndex::kGlobalHeap, 0},
-        CleanCase{"sla_scan", sla_costs, DerivativeMode::kAnalytic,
-                  VictimIndex::kTenantScan, 0},
-        CleanCase{"nonconvex_global", nonconvex_costs,
-                  DerivativeMode::kDiscreteMarginal, VictimIndex::kGlobalHeap,
-                  0},
-        CleanCase{"nonconvex_scan", nonconvex_costs,
-                  DerivativeMode::kDiscreteMarginal, VictimIndex::kTenantScan,
-                  0}),
+                  DerivativeMode::kDiscreteMarginal, 0},
+        CleanCase{"sla", sla_costs, DerivativeMode::kAnalytic, 0},
+        CleanCase{"nonconvex", nonconvex_costs,
+                  DerivativeMode::kDiscreteMarginal, 0}),
     [](const ::testing::TestParamInfo<CleanCase>& param_info) {
       return param_info.param.name;
     });
@@ -287,43 +294,49 @@ TEST(AuditMutation, NegativeOffsetBreaksBudgetUpperBound) {
       << rig.auditor.report().summary();
 }
 
-TEST(AuditMutation, KeyCorruptionOrphansItsPostings) {
-  Rig rig;
-  const PageId page = rig.session.cache().pages().begin()->first;
-  // Every posting of this page carries the old key, so none validates as
-  // fresh any more — the page is uncovered in the index.
-  AuditTestPeer::shift_key(rig.policy, page, 0.5);
+TEST(AuditMutation, SwappedHeapSlotsBreakHeapOrder) {
+  Rig rig({}, {}, 2, 8);
+  AuditTestPeer::swap_heap_slots(rig.policy,
+                                 AuditTestPeer::tenant_with(rig.policy, 2));
   rig.audit_now();
-  EXPECT_TRUE(fired(rig.auditor.report(), "index-coverage"))
+  EXPECT_TRUE(fired(rig.auditor.report(), "index-heap-order"))
       << rig.auditor.report().summary();
 }
 
-TEST(AuditMutation, BumpShrinkBreaksLazySoundness) {
+TEST(AuditMutation, CorruptedPositionIsCaught) {
+  Rig rig({}, {}, 2, 8);
+  AuditTestPeer::corrupt_position(rig.policy,
+                                  AuditTestPeer::tenant_with(rig.policy, 2));
+  rig.audit_now();
+  EXPECT_TRUE(fired(rig.auditor.report(), "index-position"))
+      << rig.auditor.report().summary();
+}
+
+TEST(AuditMutation, StaleLeafBreaksTree) {
   Rig rig;
-  // Postings froze score = key + old bump. Shrinking the bump makes them
-  // all over-estimate — exactly the corruption lazy invalidation cannot
-  // repair (the policy handles real shrinkage with repost_tenant). Target
-  // a tenant that actually owns a resident page.
-  const TenantId tenant = rig.session.cache().pages().begin()->second;
+  AuditTestPeer::stale_leaf(rig.policy,
+                            AuditTestPeer::tenant_with(rig.policy, 1));
+  rig.audit_now();
+  EXPECT_TRUE(fired(rig.auditor.report(), "index-tree"))
+      << rig.auditor.report().summary();
+}
+
+TEST(AuditMutation, StaleTreeNodeBreaksTree) {
+  Rig rig;
+  AuditTestPeer::stale_root(rig.policy);
+  rig.audit_now();
+  EXPECT_TRUE(fired(rig.auditor.report(), "index-tree"))
+      << rig.auditor.report().summary();
+}
+
+TEST(AuditMutation, BumpShiftWithoutRefreshBreaksTree) {
+  Rig rig;
+  // The leaf froze score = key + old bump; moving the bump without
+  // refreshing the leaf leaves the tree ranking the tenant wrongly.
+  const TenantId tenant = AuditTestPeer::tenant_with(rig.policy, 1);
   AuditTestPeer::shift_bump(rig.policy, tenant, -3.0);
   rig.audit_now();
-  EXPECT_TRUE(fired(rig.auditor.report(), "index-soundness"))
-      << rig.auditor.report().summary();
-}
-
-TEST(AuditMutation, DroppedHeapLosesCoverage) {
-  Rig rig;
-  AuditTestPeer::clear_global_heap(rig.policy);
-  rig.audit_now();
-  EXPECT_TRUE(fired(rig.auditor.report(), "index-coverage"))
-      << rig.auditor.report().summary();
-}
-
-TEST(AuditMutation, FloodedHeapViolatesCompactionBound) {
-  Rig rig;
-  AuditTestPeer::flood_global_heap(rig.policy, 2000);
-  rig.audit_now();
-  EXPECT_TRUE(fired(rig.auditor.report(), "index-compaction"))
+  EXPECT_TRUE(fired(rig.auditor.report(), "index-tree"))
       << rig.auditor.report().summary();
 }
 
@@ -464,10 +477,10 @@ TEST(AuditMutation, WrongVictimFailsMinimalityCheck) {
 
 TEST(AuditReport_, SummaryNamesFirstFailure) {
   Rig rig;
-  AuditTestPeer::clear_global_heap(rig.policy);
+  AuditTestPeer::stale_root(rig.policy);
   rig.audit_now();
   const std::string s = rig.auditor.report().summary();
-  EXPECT_NE(s.find("index-coverage"), std::string::npos) << s;
+  EXPECT_NE(s.find("index-tree"), std::string::npos) << s;
 }
 
 TEST(AuditReport_, CleanSummaryReportsZeroViolations) {

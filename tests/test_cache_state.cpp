@@ -15,7 +15,7 @@ TEST(CacheState, InsertContainsErase) {
   EXPECT_EQ(cache.owner(10), 0u);
   cache.insert(20, 1);
   EXPECT_TRUE(cache.full());
-  cache.erase(10);
+  EXPECT_EQ(cache.take(10), TenantId{0});
   EXPECT_FALSE(cache.contains(10));
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -29,12 +29,15 @@ TEST(CacheState, RejectsOverfill) {
 TEST(CacheState, RejectsDuplicateInsert) {
   CacheState cache(2);
   cache.insert(1, 0);
-  EXPECT_THROW(cache.insert(1, 0), std::invalid_argument);
+  EXPECT_THROW(cache.insert(1, 1), std::invalid_argument);
+  EXPECT_EQ(cache.owner(1), 0u);  // the rejected insert changed nothing
 }
 
 TEST(CacheState, RejectsEvictingAbsent) {
   CacheState cache(2);
-  EXPECT_THROW(cache.erase(5), std::invalid_argument);
+  cache.insert(1, 0);
+  EXPECT_EQ(cache.take(5), std::nullopt);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(CacheState, OwnerOfAbsentThrows) {

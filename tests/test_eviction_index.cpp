@@ -1,12 +1,14 @@
-// Tests for the O(log k) cross-tenant eviction index of ConvexCachingPolicy:
-// randomized differential replay against the per-tenant-scan index and the
-// literal Fig. 3 transcription (NaiveConvexCachingPolicy), tie-breaking,
-// window-rollover rebuilds, lazy-invalidation repair for non-convex costs,
-// compaction, and the perf counters surfaced through SimResult.
+// Tests for the eviction index of ConvexCachingPolicy (per-tenant heaps
+// under a tenant winner tree): randomized differential replay against a
+// full scan of the policy's own effective budgets and against the literal
+// Fig. 3 transcription (NaiveConvexCachingPolicy), tie-breaking (including
+// keys that round to one score), window-rollover rebuilds, and the perf
+// counters surfaced through SimResult.
 //
-// All cost families here have integer-valued marginals, so every
-// implementation computes budgets exactly in floating point and victim
-// sequences must match bit for bit.
+// Unless a test says otherwise the cost families here have integer-valued
+// marginals, so every implementation computes budgets exactly in floating
+// point and victim sequences must match bit for bit.
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -23,11 +25,56 @@
 namespace ccc {
 namespace {
 
-ConvexCachingOptions scan_options() {
-  ConvexCachingOptions options;
-  options.index = VictimIndex::kTenantScan;
-  return options;
-}
+/// Drives a ConvexCachingPolicy and, at every eviction, compares its victim
+/// with a full scan of the resident pages' effective budgets (lowest page
+/// id on ties) — Fig. 3's "page with the smallest B(p)" with no index.
+class ScanCheckedPolicy final : public ReplacementPolicy {
+ public:
+  explicit ScanCheckedPolicy(ConvexCachingOptions options = {})
+      : inner_(options) {}
+
+  void reset(const PolicyContext& ctx) override {
+    cache_ = ctx.cache;
+    mismatches_ = 0;
+    inner_.reset(ctx);
+  }
+  void on_hit(const Request& request, TimeStep time) override {
+    inner_.on_hit(request, time);
+  }
+  [[nodiscard]] PageId choose_victim(const Request& request,
+                                     TimeStep time) override {
+    const PageId victim = inner_.choose_victim(request, time);
+    bool found = false;
+    double best = 0.0;
+    PageId best_page = 0;
+    for (const auto [page, owner] : cache_->pages()) {
+      (void)owner;
+      const double b = inner_.budget(page);
+      if (!found || b < best || (b == best && page < best_page)) {
+        found = true;
+        best = b;
+        best_page = page;
+      }
+    }
+    if (best_page != victim) ++mismatches_;
+    return victim;
+  }
+  void on_evict(PageId victim, TenantId owner, TimeStep time) override {
+    inner_.on_evict(victim, owner, time);
+  }
+  void on_insert(const Request& request, TimeStep time) override {
+    inner_.on_insert(request, time);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  /// Evictions where the index and the scan disagreed.
+  [[nodiscard]] std::size_t mismatches() const noexcept { return mismatches_; }
+
+ private:
+  ConvexCachingPolicy inner_;
+  const CacheState* cache_ = nullptr;
+  std::size_t mismatches_ = 0;
+};
 
 /// Mixed multi-tenant workload: tenant t cycles through Zipf, sequential
 /// scan and shifting-working-set generators, with unequal request rates.
@@ -77,8 +124,8 @@ void expect_identical_decisions(const SimResult& a, const SimResult& b,
 }
 
 // ---------------------------------------------------------------------------
-// Differential replay: global heap vs tenant scan vs naive oracle on
-// randomized mixed traces.
+// Differential replay: the index vs a scan of its budgets vs the naive
+// oracle on randomized mixed traces.
 
 struct DiffCase {
   std::uint64_t seed;
@@ -102,16 +149,14 @@ TEST_P(EvictionIndexDifferentialTest, GlobalScanAndNaiveAgree) {
       mixed_trace(c.tenants, c.pages_per_tenant, c.length, c.seed);
   const auto costs = integer_costs(c.tenants);
 
-  ConvexCachingPolicy global_index;
-  ConvexCachingPolicy scan_index(scan_options());
+  ScanCheckedPolicy indexed;
   NaiveConvexCachingPolicy naive;
   SimOptions options;
   options.record_events = true;
-  const SimResult g = run_trace(trace, c.k, global_index, &costs, options);
-  const SimResult s = run_trace(trace, c.k, scan_index, &costs, options);
+  const SimResult g = run_trace(trace, c.k, indexed, &costs, options);
   const SimResult n = run_trace(trace, c.k, naive, &costs, options);
-  expect_identical_decisions(g, s, "global vs scan");
-  expect_identical_decisions(g, n, "global vs naive");
+  EXPECT_EQ(indexed.mismatches(), 0u) << "index vs scan";
+  expect_identical_decisions(g, n, "index vs naive");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -125,25 +170,23 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{17, 24, 4, 16, 2500}));
 
 // Eviction-maximal churn: a universe far larger than k makes nearly every
-// request an insert+evict pair, so the policies' flat residency tables run
-// a backward-shift erase per step while sitting at their load limit. Any
-// probe chain corrupted by a shift (or a slot leaked across rehash) breaks
-// residency and therefore the victim sequence — which all three
-// implementations must still agree on exactly.
+// request an insert+evict pair, so the flat residency tables run a
+// backward-shift erase per step while sitting at their load limit and the
+// per-tenant heaps remove an entry per step. Any probe chain corrupted by
+// a shift, or a heap slot left behind by a removal, breaks the victim
+// sequence — which the index and the naive oracle must still agree on.
 TEST(EvictionIndexDifferential, EraseHeavyChurnAgreesAcrossIndexes) {
   for (const std::uint64_t seed : {41u, 42u, 43u}) {
     const Trace trace = mixed_trace(6, 256, 4000, seed);
     const auto costs = integer_costs(6);
-    ConvexCachingPolicy global_index;
-    ConvexCachingPolicy scan_index(scan_options());
+    ScanCheckedPolicy indexed;
     NaiveConvexCachingPolicy naive;
     SimOptions options;
     options.record_events = true;
-    const SimResult g = run_trace(trace, 8, global_index, &costs, options);
-    const SimResult s = run_trace(trace, 8, scan_index, &costs, options);
+    const SimResult g = run_trace(trace, 8, indexed, &costs, options);
     const SimResult n = run_trace(trace, 8, naive, &costs, options);
-    expect_identical_decisions(g, s, "churn global vs scan");
-    expect_identical_decisions(g, n, "churn global vs naive");
+    EXPECT_EQ(indexed.mismatches(), 0u) << "churn index vs scan";
+    expect_identical_decisions(g, n, "churn index vs naive");
     // At capacity 8 over a 1536-page universe, misses dominate: the churn
     // premise (an eviction on nearly every step) must actually hold.
     EXPECT_GT(g.metrics.total_evictions(), trace.size() / 2);
@@ -151,10 +194,9 @@ TEST(EvictionIndexDifferential, EraseHeavyChurnAgreesAcrossIndexes) {
 }
 
 // The §2.5 discrete-marginal mode on non-convex costs shrinks tenant bumps
-// (a step cost's marginal falls back to 0 after each jump; sqrt marginals
-// decrease monotonically), driving the global index through its eager
-// re-post repair. The scan index handles shrinkage naturally, so agreement
-// proves the repair is complete.
+// (a step cost's marginal falls back to 0 after each jump). A shrinking
+// bump moves the tenant's leaf but not its heap order; agreement with the
+// oracle shows the leaf follows it.
 TEST(EvictionIndexDifferential, NonConvexCostsAgreeAcrossIndexes) {
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
     const Trace trace = mixed_trace(6, 6, 2500, seed);
@@ -167,19 +209,15 @@ TEST(EvictionIndexDifferential, NonConvexCostsAgreeAcrossIndexes) {
     }
     ConvexCachingOptions discrete;
     discrete.derivative = DerivativeMode::kDiscreteMarginal;
-    ConvexCachingOptions discrete_scan = discrete;
-    discrete_scan.index = VictimIndex::kTenantScan;
 
-    ConvexCachingPolicy global_index(discrete);
-    ConvexCachingPolicy scan_index(discrete_scan);
+    ScanCheckedPolicy indexed(discrete);
     NaiveConvexCachingPolicy naive(discrete);
     SimOptions options;
     options.record_events = true;
-    const SimResult g = run_trace(trace, 10, global_index, &costs, options);
-    const SimResult s = run_trace(trace, 10, scan_index, &costs, options);
+    const SimResult g = run_trace(trace, 10, indexed, &costs, options);
     const SimResult n = run_trace(trace, 10, naive, &costs, options);
-    expect_identical_decisions(g, s, "non-convex global vs scan");
-    expect_identical_decisions(g, n, "non-convex global vs naive");
+    EXPECT_EQ(indexed.mismatches(), 0u) << "non-convex index vs scan";
+    expect_identical_decisions(g, n, "non-convex index vs naive");
   }
 }
 
@@ -192,61 +230,84 @@ TEST(EvictionIndexTieBreak, EqualBudgetsEvictLowestPageId) {
   std::vector<CostFunctionPtr> costs;
   costs.push_back(std::make_unique<MonomialCost>(1.0, 3.0));
   costs.push_back(std::make_unique<MonomialCost>(1.0, 3.0));
-  for (const bool scan : {false, true}) {
-    ConvexCachingPolicy policy(scan ? scan_options()
-                                    : ConvexCachingOptions{});
-    SimulatorSession session(3, 2, policy, &costs);
-    // Raw page ids chosen so the lowest id belongs to the tenant touched
-    // in the middle — neither insertion order nor tenant order can fake
-    // the right answer.
-    session.step({0, 20});
-    session.step({1, 10});
-    session.step({0, 30});
-    // All three budgets are 3; the victim must be the globally lowest page
-    // id — tenant 1's page 10.
-    const StepEvent e = session.step({1, 40});
-    ASSERT_TRUE(e.victim.has_value()) << "scan=" << scan;
-    EXPECT_EQ(*e.victim, 10u) << "scan=" << scan;
-  }
+  ConvexCachingPolicy policy;
+  SimulatorSession session(3, 2, policy, &costs);
+  // Raw page ids chosen so the lowest id belongs to the tenant touched in
+  // the middle — neither insertion order nor tenant order can fake the
+  // right answer.
+  session.step({0, 20});
+  session.step({1, 10});
+  session.step({0, 30});
+  // All three budgets are 3; the victim must be the globally lowest page
+  // id — tenant 1's page 10.
+  const StepEvent e = session.step({1, 40});
+  ASSERT_TRUE(e.victim.has_value());
+  EXPECT_EQ(*e.victim, 10u);
 }
 
 TEST(EvictionIndexTieBreak, TieAfterRefreshUsesCurrentBudgets) {
   // A page refreshed by a hit must participate in ties with its *new*
-  // budget and id ordering, not its stale posting.
+  // budget and id ordering.
   std::vector<CostFunctionPtr> costs;
   costs.push_back(std::make_unique<MonomialCost>(1.0, 2.0));
-  for (const bool scan : {false, true}) {
-    ConvexCachingPolicy policy(scan ? scan_options()
-                                    : ConvexCachingOptions{});
-    SimulatorSession session(2, 1, policy, &costs);
-    session.step({0, 4});
-    session.step({0, 1});
-    session.step({0, 4});  // hit: re-posts page 4 at the same budget (2)
-    // Tie between pages 1 and 4 at budget 2 → page 1 goes.
-    const StepEvent e = session.step({0, 9});
-    ASSERT_TRUE(e.victim.has_value()) << "scan=" << scan;
-    EXPECT_EQ(*e.victim, 1u) << "scan=" << scan;
+  ConvexCachingPolicy policy;
+  SimulatorSession session(2, 1, policy, &costs);
+  session.step({0, 4});
+  session.step({0, 1});
+  session.step({0, 4});  // hit: refreshes page 4 at the same budget (2)
+  // Tie between pages 1 and 4 at budget 2 → page 1 goes.
+  const StepEvent e = session.step({0, 9});
+  ASSERT_TRUE(e.victim.has_value());
+  EXPECT_EQ(*e.victim, 1u);
+}
+
+/// f'(1) = 1 and f'(m) = 2^53 for m ≥ 2, so the first bump is 2^53 − 1 and
+/// keys 1 and 2 both round to the score 2^53.
+class RoundingMarginalCost final : public CostFunction {
+ public:
+  [[nodiscard]] double value(double x) const override { return x; }
+  [[nodiscard]] double derivative(double x) const override {
+    return x <= 1.0 ? 1.0 : std::ldexp(1.0, 53);
   }
+  [[nodiscard]] std::string describe() const override { return "rounding"; }
+  [[nodiscard]] std::unique_ptr<CostFunction> clone() const override {
+    return std::make_unique<RoundingMarginalCost>();
+  }
+  [[nodiscard]] bool is_convex() const override { return true; }
+};
+
+TEST(EvictionIndexTieBreak, KeysRoundingToOneScoreEvictLowestPageId) {
+  std::vector<CostFunctionPtr> costs;
+  costs.push_back(std::make_unique<RoundingMarginalCost>());
+  ConvexCachingPolicy policy;
+  SimulatorSession session(2, 1, policy, &costs);
+  session.step({0, 30});  // key 1
+  session.step({0, 40});  // key 1
+  // Evicts page 30 (budget 1, lower id): the offset becomes 1 and the bump
+  // 2^53 − 1, so page 10 enters with key 2^53 − (2^53 − 1) + 1 = 2.
+  ASSERT_EQ(session.step({0, 10}).victim, PageId{30});
+  // Page 40 (key 1) tops the tenant's heap, but 1 + bump and 2 + bump
+  // both round to 2^53: the tie goes to the lower page id, page 10.
+  const StepEvent e = session.step({0, 50});
+  ASSERT_TRUE(e.victim.has_value());
+  EXPECT_EQ(*e.victim, PageId{10});
 }
 
 // ---------------------------------------------------------------------------
 // Window rollover: the index must be rebuilt when budgets re-base.
 
 TEST(EvictionIndexWindow, GlobalAndScanAgreeAcrossBoundaries) {
+  // The naive transcription has no accounting windows, so the oracle here
+  // is the scan of the re-based budgets.
   for (const std::size_t window : {7u, 32u, 100u}) {
     const Trace trace = mixed_trace(8, 6, 2000, /*seed=*/31 + window);
     const auto costs = integer_costs(8);
     ConvexCachingOptions windowed;
     windowed.window_length = window;
-    ConvexCachingOptions windowed_scan = windowed;
-    windowed_scan.index = VictimIndex::kTenantScan;
-    ConvexCachingPolicy global_index(windowed);
-    ConvexCachingPolicy scan_index(windowed_scan);
-    SimOptions options;
-    options.record_events = true;
-    const SimResult g = run_trace(trace, 12, global_index, &costs, options);
-    const SimResult s = run_trace(trace, 12, scan_index, &costs, options);
-    expect_identical_decisions(g, s, "window=" + std::to_string(window));
+    ScanCheckedPolicy indexed(windowed);
+    const SimResult g = run_trace(trace, 12, indexed, &costs);
+    EXPECT_GT(g.perf.evictions, 0u) << "window=" << window;
+    EXPECT_EQ(indexed.mismatches(), 0u) << "window=" << window;
   }
 }
 
@@ -270,17 +331,17 @@ TEST(EvictionIndexWindow, RollRebuildsIndexAndRebasesBudgets) {
 // Index hygiene and counters.
 
 TEST(EvictionIndexCompaction, HitHeavyStreamStaysBounded) {
-  // Capacity 8 over a 10-page universe: hits dominate, so postings pile up
-  // ~1 per request while only evictions drain them — compaction must keep
-  // the index proportional to the resident set, not the request count.
+  // Capacity 8 over a 10-page universe: hits dominate. Refreshes re-sift in
+  // place, so the index holds exactly one entry per resident page and
+  // never needs a rebuild.
   std::vector<CostFunctionPtr> costs;
   costs.push_back(std::make_unique<MonomialCost>(2.0));
   Rng rng(99);
   const Trace trace = random_uniform_trace(1, 10, 50'000, rng);
   ConvexCachingPolicy policy;
   const SimResult result = run_trace(trace, 8, policy, &costs);
-  EXPECT_GT(result.perf.index_rebuilds, 0u);
-  EXPECT_LE(policy.index_size(), 128u);
+  EXPECT_EQ(result.perf.index_rebuilds, 0u);
+  EXPECT_EQ(policy.index_size(), 8u);
   EXPECT_EQ(result.metrics.total_hits() + result.metrics.total_misses(),
             trace.size());
 }
@@ -293,12 +354,13 @@ TEST(EvictionIndexCounters, RunTraceFillsPerfCounters) {
   EXPECT_EQ(result.perf.requests, trace.size());
   EXPECT_EQ(result.perf.evictions, result.metrics.total_evictions());
   EXPECT_GT(result.perf.evictions, 0u);
-  EXPECT_GT(result.perf.heap_pops, 0u);
-  EXPECT_GT(result.perf.stale_skips, 0u);  // lazy invalidation at work
+  // One index removal per eviction, and never a stale entry to skip.
+  EXPECT_EQ(result.perf.heap_pops, result.perf.evictions);
+  EXPECT_EQ(result.perf.stale_skips, 0u);
+  EXPECT_EQ(result.perf.stale_skips_per_eviction(), 0.0);
   EXPECT_GT(result.perf.wall_seconds, 0.0);
   EXPECT_GT(result.perf.ns_per_request(), 0.0);
   EXPECT_GT(result.perf.seconds_per_million(), 0.0);
-  EXPECT_GT(result.perf.stale_skips_per_eviction(), 0.0);
 }
 
 TEST(EvictionIndexCounters, CostObliviousPoliciesReportZeroIndexWork) {
@@ -308,12 +370,6 @@ TEST(EvictionIndexCounters, CostObliviousPoliciesReportZeroIndexWork) {
   EXPECT_EQ(result.perf.requests, trace.size());
   EXPECT_EQ(result.perf.heap_pops, 0u);
   EXPECT_EQ(result.perf.stale_skips, 0u);
-}
-
-TEST(EvictionIndexFactory, ScanVariantIsConstructible) {
-  const auto policy = make_policy("convex-scan");
-  ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->name(), "ConvexCaching[scan-index]");
 }
 
 }  // namespace

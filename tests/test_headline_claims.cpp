@@ -122,11 +122,10 @@ TEST(HeadlineClaims, ConvexCachingBeatsLruCostCurve) {
 // The E6 design claim, order-of-magnitude form: the optimized ALG-DISCRETE
 // must process a many-tenant workload several times faster than the naive
 // Fig. 3 transcription (which sweeps all k pages per eviction). The tenant
-// count is the lever that separates them: every eviction bumps the victim
-// tenant, so the global heap re-sorts only that tenant's ~k/n postings
-// while the naive oracle — now a vectorized SoA sweep — still touches all
-// k budgets. At few tenants the SoA sweep actually wins; at 64 tenants the
-// heap's amortization dominates by well over the asserted 2x.
+// count is the lever that separates them: every eviction bumps only the
+// victim tenant, which moves one leaf of the tenant tree, while the naive
+// oracle — a vectorized SoA sweep — still touches all k budgets. At 64
+// tenants the index wins by well over the asserted 2x.
 TEST(HeadlineClaims, OptimizedAlgorithmOutpacesNaiveAtLargeK) {
 #if !defined(NDEBUG) || defined(CCC_INSTRUMENTED_BUILD)
   GTEST_SKIP() << "timing ratios are meaningless without optimization";
