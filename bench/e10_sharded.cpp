@@ -25,55 +25,20 @@
 #include <vector>
 
 #include "core/convex_caching.hpp"
-#include "cost/monomial.hpp"
-#include "cost/piecewise_linear.hpp"
+#include "cost/spec.hpp"
+#include "harness.hpp"
 #include "obs/observer.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_event.hpp"
 #include "shard/parallel_replay.hpp"
 #include "shard/sharded_cache.hpp"
 #include "sim/simulator.hpp"
-#include "trace/generators.hpp"
 #include "util/cli.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
 namespace ccc {
 namespace {
-
-Trace make_trace(std::uint32_t tenants, std::uint64_t pages_per_tenant,
-                 double skew, std::size_t length, std::uint64_t seed) {
-  std::vector<TenantWorkload> workloads;
-  workloads.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t)
-    workloads.push_back(
-        {std::make_unique<ZipfPages>(pages_per_tenant, skew), 1.0});
-  Rng rng(seed);
-  return generate_trace(std::move(workloads), length, rng);
-}
-
-std::vector<CostFunctionPtr> make_costs(const std::string& family,
-                                        std::uint32_t tenants) {
-  std::vector<CostFunctionPtr> costs;
-  costs.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t) {
-    const double w = 1.0 + static_cast<double>(t % 4);
-    if (family == "mono2") {
-      costs.push_back(std::make_unique<MonomialCost>(2.0, w));
-    } else if (family == "mono3") {
-      costs.push_back(std::make_unique<MonomialCost>(3.0, w));
-    } else if (family == "linear") {
-      costs.push_back(std::make_unique<MonomialCost>(1.0, w));
-    } else if (family == "sla") {
-      costs.push_back(std::make_unique<PiecewiseLinearCost>(
-          PiecewiseLinearCost::sla(8.0 * w, w)));
-    } else {
-      throw std::invalid_argument("unknown cost family '" + family +
-                                  "'; valid: mono2 mono3 linear sla");
-    }
-  }
-  return costs;
-}
 
 struct BenchRow {
   std::string cost_family;
@@ -89,30 +54,6 @@ struct BenchRow {
   double cost_ratio = 0.0;  ///< miss_cost / unsharded miss_cost
   double shard_seconds = 0.0;  ///< Σ per-shard in-lock time
 };
-
-/// `foo.json` → `foo<suffix>` (see e6_throughput's obs outputs).
-std::string obs_path(const std::string& json_path, const char* suffix) {
-  const std::string base =
-      json_path.size() > 5 && json_path.ends_with(".json")
-          ? json_path.substr(0, json_path.size() - 5)
-          : json_path;
-  return base + suffix;
-}
-
-void write_obs_outputs(const obs::MetricsRegistry& registry,
-                       const std::string& json_path) {
-  const std::string obs_json = obs_path(json_path, ".obs.json");
-  std::ofstream json_out(obs_json);
-  if (!json_out) throw std::runtime_error("cannot write " + obs_json);
-  registry.write_json(json_out);
-  std::cout << "wrote " << obs_json << "\n";
-
-  const std::string obs_prom = obs_path(json_path, ".obs.prom");
-  std::ofstream prom_out(obs_prom);
-  if (!prom_out) throw std::runtime_error("cannot write " + obs_prom);
-  registry.write_prometheus(prom_out);
-  std::cout << "wrote " << obs_prom << "\n";
-}
 
 void write_json(const std::string& path, const Cli& cli, std::size_t tenants,
                 const std::vector<BenchRow>& rows,
@@ -191,7 +132,7 @@ int run(int argc, const char* const* argv) {
       .flag("obs", "0",
             "1 = share one SimObserver across every cell's shards and dump "
             "latency/eviction histograms plus all counters next to the "
-            "bench JSON (requires a CCC_OBS build)")
+            "bench JSON")
       .flag("obs-cadence", "8",
             "observed cells: time every Nth step (1 = every step)")
       .flag("json", "BENCH_sharded.json", "output JSON path (empty = none)");
@@ -213,18 +154,13 @@ int run(int argc, const char* const* argv) {
   const bool observe = cli.get_bool("obs");
   const std::uint64_t obs_cadence =
       std::max<std::uint64_t>(1, cli.get_u64("obs-cadence"));
-#ifndef CCC_OBS_ENABLED
-  if (observe)
-    throw std::runtime_error(
-        "--obs requires a binary built with -DCCC_OBS=ON");
-#endif
   const std::unique_ptr<obs::TraceEventWriter> trace_writer =
       observe ? obs::TraceEventWriter::from_env() : nullptr;
   obs::MetricsRegistry obs_registry;
 
-  const Trace trace =
-      make_trace(tenants, cli.get_u64("pages-per-tenant"),
-                 cli.get_double("skew"), requests, cli.get_u64("seed"));
+  const Trace trace = bench::make_zipf_trace(
+      tenants, cli.get_u64("pages-per-tenant"), cli.get_double("skew"),
+      requests, cli.get_u64("seed"));
 
   std::vector<BenchRow> rows;
   std::vector<std::pair<std::string, double>> baselines;
@@ -232,7 +168,7 @@ int run(int argc, const char* const* argv) {
                "speedup", "miss_cost", "cost_ratio"});
 
   for (const std::string& family : families) {
-    const auto costs = make_costs(family, tenants);
+    const auto costs = make_rotated_costs(family, tenants);
 
     // Unsharded reference: one ALG-DISCRETE over the whole cache — the
     // cost yardstick every sharded cell is divided by.
@@ -338,7 +274,8 @@ int run(int argc, const char* const* argv) {
   std::cout << "\n" << table.to_ascii() << "\n";
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) write_json(json_path, cli, tenants, rows, baselines);
-  if (observe && !json_path.empty()) write_obs_outputs(obs_registry, json_path);
+  if (observe && !json_path.empty())
+    bench::write_obs_outputs(obs_registry, json_path);
   return 0;
 }
 

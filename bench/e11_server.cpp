@@ -46,8 +46,8 @@
 #include <thread>
 #include <vector>
 
-#include "cost/monomial.hpp"
-#include "cost/piecewise_linear.hpp"
+#include "cost/spec.hpp"
+#include "harness.hpp"
 #include "obs/cost_tracker.hpp"
 #include "obs/histogram.hpp"
 #include "obs/registry.hpp"
@@ -55,7 +55,6 @@
 #include "server/server.hpp"
 #include "shard/sharded_cache.hpp"
 #include "sim/metrics.hpp"
-#include "trace/generators.hpp"
 #include "util/cli.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
@@ -64,40 +63,6 @@ namespace ccc {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-Trace make_trace(std::uint32_t tenants, std::uint64_t pages_per_tenant,
-                 double skew, std::size_t length, std::uint64_t seed) {
-  std::vector<TenantWorkload> workloads;
-  workloads.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t)
-    workloads.push_back(
-        {std::make_unique<ZipfPages>(pages_per_tenant, skew), 1.0});
-  Rng rng(seed);
-  return generate_trace(std::move(workloads), length, rng);
-}
-
-std::vector<CostFunctionPtr> make_costs(const std::string& family,
-                                        std::uint32_t tenants) {
-  std::vector<CostFunctionPtr> costs;
-  costs.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t) {
-    const double w = 1.0 + static_cast<double>(t % 4);
-    if (family == "mono2") {
-      costs.push_back(std::make_unique<MonomialCost>(2.0, w));
-    } else if (family == "mono3") {
-      costs.push_back(std::make_unique<MonomialCost>(3.0, w));
-    } else if (family == "linear") {
-      costs.push_back(std::make_unique<MonomialCost>(1.0, w));
-    } else if (family == "sla") {
-      costs.push_back(std::make_unique<PiecewiseLinearCost>(
-          PiecewiseLinearCost::sla(8.0 * w, w)));
-    } else {
-      throw std::invalid_argument("unknown cost family '" + family +
-                                  "'; valid: mono2 mono3 linear sla");
-    }
-  }
-  return costs;
-}
 
 /// Per-worker tallies, merged after join.
 struct WorkerResult {
@@ -283,7 +248,7 @@ int run(int argc, const char* const* argv) {
   if (connections == 0 || window == 0)
     throw std::invalid_argument("--connections and --window must be >= 1");
 
-  const auto costs = make_costs(cli.get("costs"), tenants);
+  const auto costs = make_rotated_costs(cli.get("costs"), tenants);
 
   // ---- the server: in-process on an ephemeral port, or external ----
   std::string address = "127.0.0.1";
@@ -338,9 +303,9 @@ int run(int argc, const char* const* argv) {
   // of N requests *in trace order*: every connection finishes its share of
   // segment s (and has read all its responses, so the server books sit
   // exactly at the segment boundary) before anyone starts segment s+1.
-  const Trace trace =
-      make_trace(tenants, cli.get_u64("pages-per-tenant"),
-                 cli.get_double("skew"), requests, cli.get_u64("seed"));
+  const Trace trace = bench::make_zipf_trace(
+      tenants, cli.get_u64("pages-per-tenant"), cli.get_double("skew"),
+      requests, cli.get_u64("seed"));
   const auto rebalance_every =
       static_cast<std::size_t>(cli.get_u64("rebalance-every"));
   const std::size_t num_segments =

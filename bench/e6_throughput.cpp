@@ -43,24 +43,19 @@
 #include <string>
 #include <vector>
 
-#include "core/convex_caching.hpp"
-#include "cost/monomial.hpp"
-#include "cost/piecewise_linear.hpp"
-#include "exp/policy_factory.hpp"
-#include "shard/sharded_cache.hpp"
-#include "sim/simulator.hpp"
-#include "trace/generators.hpp"
-#include "util/cli.hpp"
-#include "util/string_util.hpp"
-#include "util/table.hpp"
-
-#ifdef CCC_AUDIT_ENABLED
 #include "audit/audit.hpp"
-#endif
-
+#include "core/convex_caching.hpp"
+#include "cost/spec.hpp"
+#include "exp/policy_factory.hpp"
+#include "harness.hpp"
 #include "obs/observer.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_event.hpp"
+#include "shard/sharded_cache.hpp"
+#include "sim/simulator.hpp"
+#include "util/cli.hpp"
+#include "util/string_util.hpp"
+#include "util/table.hpp"
 
 // ----------------------------------------------------------------------
 // Counting operator new/delete replacements (whole-binary, this TU only
@@ -122,43 +117,6 @@ std::uint64_t heap_alloc_count() {
   return g_new_calls.load(std::memory_order_relaxed);
 }
 
-Trace make_trace(std::uint32_t tenants, std::uint64_t pages_per_tenant,
-                 double skew, std::size_t length, std::uint64_t seed) {
-  std::vector<TenantWorkload> workloads;
-  workloads.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t)
-    workloads.push_back(
-        {std::make_unique<ZipfPages>(pages_per_tenant, skew), 1.0});
-  Rng rng(seed);
-  return generate_trace(std::move(workloads), length, rng);
-}
-
-/// Cost families swept by the harness. Per-tenant parameters rotate so
-/// tenants are not interchangeable (otherwise the convex policy degenerates
-/// to round-robin and the index is never stressed).
-std::vector<CostFunctionPtr> make_costs(const std::string& family,
-                                        std::uint32_t tenants) {
-  std::vector<CostFunctionPtr> costs;
-  costs.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t) {
-    const double w = 1.0 + static_cast<double>(t % 4);
-    if (family == "mono2") {
-      costs.push_back(std::make_unique<MonomialCost>(2.0, w));
-    } else if (family == "mono3") {
-      costs.push_back(std::make_unique<MonomialCost>(3.0, w));
-    } else if (family == "linear") {
-      costs.push_back(std::make_unique<MonomialCost>(1.0, w));
-    } else if (family == "sla") {
-      costs.push_back(std::make_unique<PiecewiseLinearCost>(
-          PiecewiseLinearCost::sla(8.0 * w, w)));
-    } else {
-      throw std::invalid_argument("unknown cost family '" + family +
-                                  "'; valid: mono2 mono3 linear sla");
-    }
-  }
-  return costs;
-}
-
 struct BenchRow {
   std::string policy;
   std::string cost_family;
@@ -166,7 +124,7 @@ struct BenchRow {
   std::size_t capacity = 0;
   bool skipped = false;
   std::string skip_reason;
-  bool audited = false;       // run with the CCC_AUDIT shadow checks on
+  bool audited = false;       // run with the audit shadow checks on
   PerfCounters perf;          // best (min wall-clock) repeat
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -243,38 +201,11 @@ void write_json(const std::string& path, const Cli& cli,
   std::cout << "wrote " << path << "\n";
 }
 
-/// Derives the obs snapshot path from the bench JSON path: `foo.json` →
-/// `foo.obs.json` / `foo.obs.prom`; a non-.json path just gets the suffix
-/// appended.
-std::string obs_path(const std::string& json_path, const char* suffix) {
-  const std::string base =
-      json_path.size() > 5 && json_path.ends_with(".json")
-          ? json_path.substr(0, json_path.size() - 5)
-          : json_path;
-  return base + suffix;
-}
-
-void write_obs_outputs(const obs::MetricsRegistry& registry,
-                       const std::string& json_path) {
-  const std::string obs_json = obs_path(json_path, ".obs.json");
-  std::ofstream json_out(obs_json);
-  if (!json_out) throw std::runtime_error("cannot write " + obs_json);
-  registry.write_json(json_out);
-  std::cout << "wrote " << obs_json << "\n";
-
-  const std::string obs_prom = obs_path(json_path, ".obs.prom");
-  std::ofstream prom_out(obs_prom);
-  if (!prom_out) throw std::runtime_error("cannot write " + obs_prom);
-  registry.write_prometheus(prom_out);
-  std::cout << "wrote " << obs_prom << "\n";
-}
-
 /// Measures one cell: `repeats` runs of `policy_name` over `trace`, keeping
 /// the min-wall-clock repeat. With `audit` true the runs carry a
 /// ConvexCachingAuditor (cadence `audit_cadence`); any reported violation
 /// aborts the benchmark — an audited number from a broken run is worthless.
-/// `observer`, when non-null, is attached to every repeat (requires a
-/// CCC_OBS build).
+/// `observer`, when non-null, is attached to every repeat.
 void measure(BenchRow& row, const Trace& trace, std::size_t capacity,
              const std::vector<CostFunctionPtr>& costs,
              const std::string& policy_name, std::uint64_t repeats,
@@ -283,28 +214,19 @@ void measure(BenchRow& row, const Trace& trace, std::size_t capacity,
   const auto policy = make_policy(policy_name);
   SimOptions options;
   options.step_observer = observer;
-#ifdef CCC_AUDIT_ENABLED
   AuditConfig audit_config;
   audit_config.step_cadence = audit_cadence;
   audit_config.eviction_cadence = audit_cadence;
   ConvexCachingAuditor auditor(audit_config);
   if (audit) options.auditor = &auditor;
-#else
-  (void)audit_cadence;
-  if (audit)
-    throw std::runtime_error(
-        "--audit requires a binary built with -DCCC_AUDIT=ON");
-#endif
   row.audited = audit;
   bool first = true;
   for (std::uint64_t r = 0; r < repeats; ++r) {
     const SimResult result = run_trace(trace, capacity, *policy, &costs,
                                        options);
-#ifdef CCC_AUDIT_ENABLED
     if (audit && !auditor.report().ok())
       throw std::runtime_error("audit violations in benchmarked run: " +
                                auditor.report().summary());
-#endif
     if (first || result.perf.wall_seconds < row.perf.wall_seconds) {
       row.perf = result.perf;
       row.hits = result.metrics.total_hits();
@@ -492,14 +414,14 @@ int run(int argc, const char* const* argv) {
       .flag("max-naive-tenants", "64",
             "skip convex-naive above this tenant count")
       .flag("audit", "0",
-            "1 = add an audited twin row per convex cell "
-            "(requires a CCC_AUDIT build); measures the audit overhead")
+            "1 = add an audited twin row per convex cell; measures the "
+            "audit overhead")
       .flag("audit-cadence", "64",
             "audited rows: run the shadow checks every Nth request/eviction")
       .flag("obs", "0",
             "1 = attach a SimObserver to every measured cell and dump "
             "latency/eviction histograms plus all counters next to the "
-            "bench JSON (requires a CCC_OBS build; see --obs-cadence)")
+            "bench JSON (see --obs-cadence)")
       .flag("sharded-batch", "256",
             "sharded cells: requests per access_batch() submission "
             "(1 = drive access() per request)")
@@ -534,19 +456,9 @@ int run(int argc, const char* const* argv) {
   const bool audit = cli.get_bool("audit");
   const std::uint64_t audit_cadence =
       std::max<std::uint64_t>(1, cli.get_u64("audit-cadence"));
-#ifndef CCC_AUDIT_ENABLED
-  if (audit)
-    throw std::runtime_error(
-        "--audit requires a binary built with -DCCC_AUDIT=ON");
-#endif
   const bool observe = cli.get_bool("obs");
   const std::uint64_t obs_cadence =
       std::max<std::uint64_t>(1, cli.get_u64("obs-cadence"));
-#ifndef CCC_OBS_ENABLED
-  if (observe)
-    throw std::runtime_error(
-        "--obs requires a binary built with -DCCC_OBS=ON");
-#endif
   // Optional Chrome trace spans (CCC_OBS_TRACE=path), shared by all cells.
   const std::unique_ptr<obs::TraceEventWriter> trace_writer =
       observe ? obs::TraceEventWriter::from_env() : nullptr;
@@ -560,10 +472,10 @@ int run(int argc, const char* const* argv) {
     const auto tenants = static_cast<std::uint32_t>(n64);
     const std::size_t capacity =
         static_cast<std::size_t>(k_per_tenant) * tenants;
-    const Trace trace = make_trace(tenants, pages_per_tenant, skew, requests,
-                                   cli.get_u64("seed"));
+    const Trace trace = bench::make_zipf_trace(
+        tenants, pages_per_tenant, skew, requests, cli.get_u64("seed"));
     for (const std::string& family : families) {
-      const auto costs = make_costs(family, tenants);
+      const auto costs = make_rotated_costs(family, tenants);
       if (cli.get_bool("alloc-stats")) {
         rows.push_back(
             run_alloc_probe(trace, capacity, costs, family, tenants));
@@ -652,7 +564,8 @@ int run(int argc, const char* const* argv) {
   check_hit_path_equivalence(rows);
   const std::string json_path = cli.get("json");
   if (!json_path.empty()) write_json(json_path, cli, rows);
-  if (observe && !json_path.empty()) write_obs_outputs(obs_registry, json_path);
+  if (observe && !json_path.empty())
+    bench::write_obs_outputs(obs_registry, json_path);
 
   // CI assertions last, after the JSON landed (a failing gate should
   // still leave the numbers on disk for diagnosis).

@@ -5,7 +5,7 @@
 ///        code path while it runs.
 ///
 /// `ConvexCachingAuditor` plugs into `SimulatorSession` (via the
-/// `PolicyAuditor` hook, compiled behind `CCC_AUDIT`) and shadow-checks, at
+/// `PolicyAuditor` hook, attached at runtime) and shadow-checks, at
 /// configurable cadence:
 ///
 ///  1. **Victim minimality** (Fig. 3, "let p be the page with smallest

@@ -82,4 +82,28 @@ CostFunctionPtr parse_cost_spec(std::string_view spec) {
   fail(spec, "unknown kind '" + kind + "'");
 }
 
+std::vector<CostFunctionPtr> make_rotated_costs(std::string_view family,
+                                                std::uint32_t tenants) {
+  std::vector<CostFunctionPtr> costs;
+  costs.reserve(tenants);
+  for (std::uint32_t t = 0; t < tenants; ++t) {
+    const double w = 1.0 + static_cast<double>(t % 4);
+    if (family == "mono2") {
+      costs.push_back(std::make_unique<MonomialCost>(2.0, w));
+    } else if (family == "mono3") {
+      costs.push_back(std::make_unique<MonomialCost>(3.0, w));
+    } else if (family == "linear") {
+      costs.push_back(std::make_unique<MonomialCost>(1.0, w));
+    } else if (family == "sla") {
+      costs.push_back(std::make_unique<PiecewiseLinearCost>(
+          PiecewiseLinearCost::sla(8.0 * w, w)));
+    } else {
+      throw std::invalid_argument("unknown cost family '" +
+                                  std::string(family) +
+                                  "'; valid: mono2 mono3 linear sla");
+    }
+  }
+  return costs;
+}
+
 }  // namespace ccc

@@ -27,8 +27,6 @@
 ///  - optional spans (evictions, rollovers, rebuilds, rebalances) to a
 ///    `TraceEventWriter`, typically `TraceEventWriter::from_env()`
 ///    (`CCC_OBS_TRACE=trace.json`).
-///
-/// Attachment requires a `CCC_OBS=ON` build; see `StepObserver`.
 
 #include <atomic>
 #include <cstdint>

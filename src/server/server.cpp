@@ -132,6 +132,7 @@ CacheServer::~CacheServer() {
   if (metrics_listen_fd_ >= 0) ::close(metrics_listen_fd_);
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
+  if (reserve_fd_ >= 0) ::close(reserve_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
 
@@ -145,6 +146,8 @@ void CacheServer::start() {
   if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) throw_errno("pipe2");
   wake_read_fd_ = pipe_fds[0];
   wake_write_fd_ = pipe_fds[1];
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  if (reserve_fd_ < 0) throw_errno("open(/dev/null)");
 
   listen_fd_ = make_listener(options_.bind_address, options_.port, port_);
   if (options_.metrics)
@@ -232,6 +235,9 @@ void CacheServer::accept_ready(int listener_fd, bool metrics_listener) {
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
+      if ((errno == EMFILE || errno == ENFILE) &&
+          shed_pending_connection(listener_fd))
+        continue;
       return;  // transient accept failures shed load, they don't kill the loop
     }
     if (!metrics_listener &&
@@ -263,6 +269,18 @@ void CacheServer::accept_ready(int listener_fd, bool metrics_listener) {
     if (!metrics_listener) ++cache_connections_;
     connections_.push_back(std::move(conn));
   }
+}
+
+bool CacheServer::shed_pending_connection(int listener_fd) {
+  if (reserve_fd_ < 0) return false;
+  ::close(reserve_fd_);
+  const int fd = ::accept4(listener_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  if (fd >= 0) {
+    ::close(fd);
+    ++counters_.connections_rejected;
+  }
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  return fd >= 0;
 }
 
 void CacheServer::handle_readable(Connection& conn) {

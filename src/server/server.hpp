@@ -76,7 +76,8 @@ struct ServerOptions {
 /// loop may be mid-update) while it is still running.
 struct ServerCounters {
   std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_rejected = 0;  ///< over max_connections
+  /// Over max_connections, or shed while the process is out of fds.
+  std::uint64_t connections_rejected = 0;
   std::uint64_t connections_closed = 0;
   std::uint64_t frames = 0;           ///< well-formed frames decoded
   std::uint64_t requests = 0;         ///< GET/SET served through the cache
@@ -156,6 +157,10 @@ class CacheServer {
 
   void event_loop();
   void accept_ready(int listener_fd, bool metrics_listener);
+  /// Out of fds (EMFILE/ENFILE): frees the reserve fd to accept and close
+  /// one pending connection, then re-arms the reserve. Returns false when
+  /// nothing could be shed.
+  bool shed_pending_connection(int listener_fd);
   void handle_readable(Connection& conn);
   void handle_cache_bytes(Connection& conn, std::string_view bytes);
   void handle_metrics_bytes(Connection& conn, std::string_view bytes);
@@ -187,6 +192,10 @@ class CacheServer {
   int metrics_listen_fd_ = -1;
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
+  /// An open /dev/null held back so that at fd exhaustion the loop can
+  /// still accept-and-close pending connections; otherwise the
+  /// level-triggered listener would stay readable and spin the loop.
+  int reserve_fd_ = -1;
   std::uint16_t port_ = 0;
   std::uint16_t metrics_port_ = 0;
   bool started_ = false;

@@ -18,37 +18,12 @@
 #include <string>
 #include <vector>
 
-#include "cost/monomial.hpp"
-#include "cost/piecewise_linear.hpp"
+#include "cost/spec.hpp"
 #include "server/server.hpp"
 #include "util/cli.hpp"
 
 namespace ccc {
 namespace {
-
-std::vector<CostFunctionPtr> make_costs(const std::string& family,
-                                        std::uint32_t tenants) {
-  std::vector<CostFunctionPtr> costs;
-  if (family == "none") return costs;
-  costs.reserve(tenants);
-  for (std::uint32_t t = 0; t < tenants; ++t) {
-    const double w = 1.0 + static_cast<double>(t % 4);
-    if (family == "mono2") {
-      costs.push_back(std::make_unique<MonomialCost>(2.0, w));
-    } else if (family == "mono3") {
-      costs.push_back(std::make_unique<MonomialCost>(3.0, w));
-    } else if (family == "linear") {
-      costs.push_back(std::make_unique<MonomialCost>(1.0, w));
-    } else if (family == "sla") {
-      costs.push_back(std::make_unique<PiecewiseLinearCost>(
-          PiecewiseLinearCost::sla(8.0 * w, w)));
-    } else {
-      throw std::invalid_argument("unknown cost family '" + family +
-                                  "'; valid: mono2 mono3 linear sla none");
-    }
-  }
-  return costs;
-}
 
 int run(int argc, const char* const* argv) {
   Cli cli(
@@ -107,8 +82,17 @@ int run(int argc, const char* const* argv) {
       static_cast<std::size_t>(cli.get_u64("max-output-backlog"));
   options.drain_deadline_seconds = cli.get_double("drain-deadline");
 
-  const std::vector<CostFunctionPtr> costs =
-      make_costs(cli.get("costs"), tenants);
+  // "none" serves cost-oblivious tenants; any other name is a rotated
+  // family, whose error message also lists "none".
+  const std::string family = cli.get("costs");
+  std::vector<CostFunctionPtr> costs;
+  if (family != "none") {
+    try {
+      costs = make_rotated_costs(family, tenants);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(std::string(e.what()) + " none");
+    }
+  }
 
   server::CacheServer server(options, cache_options, nullptr,
                              costs.empty() ? nullptr : &costs);

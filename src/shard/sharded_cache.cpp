@@ -461,12 +461,10 @@ void ShardedCache::rebalance() {
   }
   CCC_REQUIRE(sum == options_.capacity,
               "rebalance hook changed the total capacity");
-#ifdef CCC_OBS_ENABLED
   const std::vector<std::size_t> before =
       options_.step_observer != nullptr ? capacities()
                                         : std::vector<std::size_t>{};
   const auto start = SteadyClock::now();
-#endif
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     const util::MutexLock lock(shard.mutex);
@@ -483,12 +481,10 @@ void ShardedCache::rebalance() {
       shard.session->resize(split[s]);
     }
   }
-#ifdef CCC_OBS_ENABLED
   if (options_.step_observer != nullptr)
     options_.step_observer->on_rebalance(
         before, split,
         static_cast<std::uint64_t>(seconds_since(start) * 1e9));
-#endif
 }
 
 // Analysis opt-out: hands out an unlocked reference to guarded state.

@@ -100,8 +100,7 @@ struct ShardedCacheOptions {
   HitPath hit_path = HitPath::kLocked;
   /// Optional observability hook, shared by *all* shards — it must be
   /// thread-safe (obs::SimObserver is: lock-free histograms, mutexed trace
-  /// writer). Requires a `CCC_OBS=ON` build; the per-shard session
-  /// constructors throw otherwise, so observation is never silently lost.
+  /// writer). nullptr = unobserved.
   StepObserver* step_observer = nullptr;
 };
 

@@ -28,11 +28,9 @@ struct StepEvent {
 };
 
 /// Runtime-verification hook observed by the simulator (the `src/audit`
-/// subsystem implements it). Hook invocations are compiled behind the
-/// `CCC_AUDIT` CMake option — on in Debug, off in Release — so an audited
-/// build shadow-checks the algorithm's invariants while it runs and a
-/// release build pays nothing. Attaching an auditor to a session built
-/// without `CCC_AUDIT` throws, so audits can never be silently dropped.
+/// subsystem implements it). The call sites are compiled into every build;
+/// attaching an auditor is a runtime choice (`SimOptions::auditor`), and a
+/// session without one pays one predictable null-pointer branch per hook.
 class PolicyAuditor {
  public:
   virtual ~PolicyAuditor() = default;
@@ -57,11 +55,9 @@ class PolicyAuditor {
 };
 
 /// Observability hook observed by the simulator (the `src/obs` subsystem
-/// implements it — see `obs::SimObserver`). Like `PolicyAuditor`, the call
-/// sites are compiled behind the `CCC_OBS` CMake option, so a build with
-/// `CCC_OBS=OFF` carries no hook call sites on the request hot path at all,
-/// and attaching an observer to such a build throws instead of silently
-/// recording nothing.
+/// implements it — see `obs::SimObserver`). Like `PolicyAuditor`, it is
+/// attached at runtime (`SimOptions::step_observer`); an unobserved session
+/// pays one predictable branch per step and otherwise runs `step_impl`.
 class StepObserver {
  public:
   virtual ~StepObserver() = default;
@@ -108,11 +104,9 @@ struct SimOptions {
   /// the ICP evaluator; costs memory on long traces).
   bool record_events = false;
   std::uint64_t seed = 1;
-  /// Optional runtime-verification hook; requires a `CCC_AUDIT=ON` build
-  /// (the session constructor throws otherwise).
+  /// Optional runtime-verification hook (nullptr = none). Not owned.
   PolicyAuditor* auditor = nullptr;
-  /// Optional observability hook; requires a `CCC_OBS=ON` build (the
-  /// session constructor throws otherwise).
+  /// Optional observability hook (nullptr = none). Not owned.
   StepObserver* step_observer = nullptr;
 };
 
@@ -166,9 +160,8 @@ class SimulatorSession {
   [[nodiscard]] PerfCounters perf_counters() const;
 
  private:
-  /// The unobserved request path — the pre-observability hot loop, byte for
-  /// byte. step() forwards here directly unless a CCC_OBS build has an
-  /// observer attached.
+  /// The unobserved request path; step() forwards here directly unless an
+  /// observer is attached.
   StepEvent step_impl(const Request& request);
   /// The observed wrapper: invokes the observer on eviction steps and
   /// every `observer_period_`-th (wall-clock-timed) step, passing the

@@ -1,4 +1,4 @@
-// Tests for the src/audit runtime verification layer (CCC_AUDIT builds).
+// Tests for the src/audit runtime verification layer.
 //
 // Two halves:
 //  - Clean runs: the auditor attached to honest ConvexCachingPolicy runs

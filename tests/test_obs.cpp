@@ -1,8 +1,9 @@
 // Tests for the observability subsystem (src/obs): histogram bucket math,
 // randomized quantiles vs brute force, exact/associative merging, thread
 // safety of record(), the metrics registry (kind clashes, Prometheus and
-// JSON exposition), the trace_event writer, and — in CCC_OBS builds — the
-// SimObserver hooks end to end through SimulatorSession and ShardedCache.
+// JSON exposition), the trace_event writer, and the SimObserver hooks end
+// to end through SimulatorSession and ShardedCache (also together with the
+// audit hook).
 #include "obs/histogram.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "core/convex_caching.hpp"
 #include "cost/monomial.hpp"
 #include "obs/observer.hpp"
@@ -514,8 +516,6 @@ TEST(TraceEventWriter, FromEnvHonorsUnsetVariable) {
 
 // ------------------------------------------------------------ SimObserver
 
-#ifdef CCC_OBS_ENABLED
-
 Trace small_trace(std::uint32_t tenants, std::size_t length,
                   std::uint64_t seed) {
   std::vector<TenantWorkload> workloads;
@@ -575,29 +575,51 @@ TEST(SimObserver, LatencySamplePeriodThinsClockReads) {
 }
 
 TEST(SimObserver, ResultsAreIdenticalWithAndWithoutObserver) {
+  // Every combination of the two runtime hooks — none, observer, auditor,
+  // both — must see the same decisions, and the auditor must stay clean.
   const Trace trace = small_trace(2, 3000, 23);
   const auto costs = square_costs(2);
-  const auto run = [&trace, &costs](StepObserver* observer) {
+  const auto run = [&trace, &costs](StepObserver* observer,
+                                    PolicyAuditor* auditor) {
     ConvexCachingPolicy policy;
     SimOptions options;
     options.step_observer = observer;
+    options.auditor = auditor;
     SimulatorSession session(16, 2, policy, &costs, options);
     std::vector<StepEvent> events;
     events.reserve(trace.size());
     for (const Request& request : trace)
       events.push_back(session.step(request));
+    session.end_run();
     return std::make_pair(std::move(events),
                           session.metrics().miss_vector());
   };
+  const auto [plain_events, plain_misses] = run(nullptr, nullptr);
   SimObserver observer;
-  const auto [plain_events, plain_misses] = run(nullptr);
-  const auto [observed_events, observed_misses] = run(&observer);
-  ASSERT_EQ(plain_events.size(), observed_events.size());
-  for (std::size_t i = 0; i < plain_events.size(); ++i) {
-    EXPECT_EQ(plain_events[i].hit, observed_events[i].hit);
-    EXPECT_EQ(plain_events[i].victim, observed_events[i].victim);
+  SimObserver both_observer;
+  ConvexCachingAuditor auditor;
+  ConvexCachingAuditor both_auditor;
+  const std::vector<std::pair<StepObserver*, PolicyAuditor*>> hooks = {
+      {&observer, nullptr},
+      {nullptr, &auditor},
+      {&both_observer, &both_auditor}};
+  for (const auto& [hook_observer, hook_auditor] : hooks) {
+    const auto [events, misses] = run(hook_observer, hook_auditor);
+    ASSERT_EQ(plain_events.size(), events.size());
+    for (std::size_t i = 0; i < plain_events.size(); ++i) {
+      EXPECT_EQ(plain_events[i].request, events[i].request);
+      EXPECT_EQ(plain_events[i].hit, events[i].hit);
+      EXPECT_EQ(plain_events[i].victim, events[i].victim);
+      EXPECT_EQ(plain_events[i].victim_owner, events[i].victim_owner);
+    }
+    EXPECT_EQ(plain_misses, misses);
   }
-  EXPECT_EQ(plain_misses, observed_misses);
+  for (const ConvexCachingAuditor* a : {&auditor, &both_auditor}) {
+    EXPECT_TRUE(a->report().ok()) << a->report().summary();
+    EXPECT_GT(a->report().victim_checks, 0u);
+  }
+  EXPECT_EQ(observer.steps_observed(), trace.size());
+  EXPECT_EQ(both_observer.steps_observed(), trace.size());
 }
 
 TEST(SimObserver, SharedAcrossShardsAndRebalance) {
@@ -686,21 +708,6 @@ TEST(SimObserver, EmitsTraceSpansForEvictions) {
   EXPECT_NE(text.find("\"name\": \"eviction\""), std::string::npos);
   EXPECT_NE(text.find("\"index_work\":"), std::string::npos);
 }
-
-#else  // !CCC_OBS_ENABLED
-
-TEST(SimObserver, AttachingWithoutObsBuildThrows) {
-  // Mirrors the PolicyAuditor contract: observation must never be
-  // silently dropped by a build that compiled the hooks out.
-  SimObserver observer;
-  ConvexCachingPolicy policy;
-  SimOptions options;
-  options.step_observer = &observer;
-  EXPECT_THROW(SimulatorSession(8, 1, policy, nullptr, options),
-               std::invalid_argument);
-}
-
-#endif  // CCC_OBS_ENABLED
 
 }  // namespace
 }  // namespace ccc::obs

@@ -2,14 +2,18 @@
 // (src/server): request/response semantics over real loopback sockets, the
 // zero-drift determinism contract vs a direct access_batch replay
 // (DESIGN.md §12), SIGTERM mid-pipeline draining, mid-frame connection
-// drops, oversized-frame isolation, connection limits, backpressure, and
-// /metrics exposition under concurrent load.
+// drops, oversized-frame isolation, connection limits, fd exhaustion,
+// backpressure, and /metrics exposition under concurrent load.
 #include "server/server.hpp"
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
+#include <pthread.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +21,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstring>
+#include <ctime>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -434,6 +439,79 @@ TEST(Server, ConnectionLimitRejectsExtrasAndKeepsServingTheRest) {
             static_cast<StatusByte>(server::Status::kHit));
   EXPECT_EQ(harness.stop(), 0);
   EXPECT_EQ(harness.server->counters().connections_rejected, 1u);
+}
+
+/// CPU seconds `thread` has consumed so far.
+double thread_cpu_seconds(std::thread& thread) {
+  clockid_t clock{};
+  EXPECT_EQ(::pthread_getcpuclockid(thread.native_handle(), &clock), 0);
+  timespec ts{};
+  EXPECT_EQ(::clock_gettime(clock, &ts), 0);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Puts RLIMIT_NOFILE back when the test leaves scope.
+struct FdLimitGuard {
+  rlimit saved{};
+  FdLimitGuard() { EXPECT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0); }
+  ~FdLimitGuard() { ::setrlimit(RLIMIT_NOFILE, &saved); }
+};
+
+TEST(Server, FdExhaustionShedsPendingConnectionsWithoutSpinning) {
+  constexpr std::size_t kPeers = 8;
+  ServerHarness harness;
+  server::BlockingClient first(kLoopback, harness.port());
+  EXPECT_EQ(first.call(server::Opcode::kGet, 0, make_page(0, 1)),
+            static_cast<StatusByte>(server::Status::kMiss));
+
+  // The peers' sockets exist before the limit drops, so only the server's
+  // accept4 calls run into it.
+  std::vector<int> peers;
+  for (std::size_t i = 0; i < kPeers; ++i)
+    peers.push_back(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(harness.port());
+  ASSERT_EQ(::inet_pton(AF_INET, kLoopback, &addr.sin_addr), 1);
+
+  // New fds must number below the limit: leave room for about 2 accepts.
+  FdLimitGuard guard;
+  const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit lowered = guard.saved;
+  lowered.rlim_cur = static_cast<rlim_t>(lowest_free) + 2;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  for (const int fd : peers)
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof addr),
+              0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  // A listener left readable at EMFILE would spin the loop at 100%.
+  const double cpu_before = thread_cpu_seconds(harness.thread);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(thread_cpu_seconds(harness.thread) - cpu_before, 0.1);
+
+  EXPECT_EQ(first.call(server::Opcode::kGet, 0, make_page(0, 1)),
+            static_cast<StatusByte>(server::Status::kHit));
+
+  // Shed peers read EOF; the ones accepted before the limit bit stay open.
+  std::size_t shed = 0;
+  for (const int fd : peers) {
+    pollfd pfd{fd, POLLIN, 0};
+    char byte = 0;
+    if (::poll(&pfd, 1, 100) == 1 && ::read(fd, &byte, 1) == 0) ++shed;
+  }
+  EXPECT_GE(shed, kPeers - 2);
+
+  EXPECT_EQ(harness.stop(), 0);
+  EXPECT_EQ(harness.server->counters().connections_rejected, shed);
+  EXPECT_EQ(harness.server->counters().connections_accepted,
+            1 + kPeers - shed);
+  for (const int fd : peers) ::close(fd);
 }
 
 TEST(Server, BackpressurePausesReadsAndStillAnswersEverything) {
