@@ -98,10 +98,6 @@ CostTracker CostTracker::collect(const ShardedCache& cache) {
     account.valid = accounts[s].valid;
     account.mass = std::move(accounts[s].mass);
     account.evictions = std::move(accounts[s].evictions);
-    // Policies without a dual certificate report empty vectors; size them
-    // so snapshot() can stay branch-free over tenants.
-    account.mass.resize(cache.num_tenants(), 0.0);
-    account.evictions.resize(cache.num_tenants(), 0);
     tracker.add_account(std::move(account));
   }
   return tracker;

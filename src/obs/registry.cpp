@@ -256,18 +256,16 @@ void snapshot_sharded(MetricsRegistry& registry, const ShardedCache& cache,
                          "Evictions performed by the shard", labels,
                          static_cast<double>(stats[s].evictions));
   }
-  snapshot_metrics(registry, cache.aggregated_metrics(), cache.costs(),
+  snapshot_metrics(registry, cache.aggregated_metrics(), &cache.costs(),
                    extra);
   snapshot_perf(registry, cache.aggregated_perf(), extra);
-  if (cache.has_costs()) {
-    registry.set_gauge("ccc_global_miss_cost",
-                       "Σ_i f_i(Σ_s misses_{i,s}) across all shards", extra,
-                       cache.global_miss_cost());
-    snapshot_costs(registry,
-                   CostTracker::collect(cache).snapshot(
-                       *cache.costs(), cache.total_capacity()),
-                   extra);
-  }
+  registry.set_gauge("ccc_global_miss_cost",
+                     "Σ_i f_i(Σ_s misses_{i,s}) across all shards", extra,
+                     cache.global_miss_cost());
+  snapshot_costs(registry,
+                 CostTracker::collect(cache).snapshot(cache.costs(),
+                                                      cache.total_capacity()),
+                 extra);
 }
 
 void snapshot_costs(MetricsRegistry& registry, const CostSnapshot& snap,

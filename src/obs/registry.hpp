@@ -110,9 +110,9 @@ void snapshot_perf(MetricsRegistry& registry, const PerfCounters& perf,
                    const LabelSet& extra = {});
 
 /// Per-shard capacity/residency/hits/misses/evictions gauges {shard=},
-/// the aggregated per-tenant books, the aggregated PerfCounters and —
-/// when the cache carries cost functions — the live competitive-ratio
-/// gauges of snapshot_costs, all for a sharded frontend.
+/// the aggregated per-tenant books, the aggregated PerfCounters and the
+/// live competitive-ratio gauges of snapshot_costs, all for a sharded
+/// frontend.
 void snapshot_sharded(MetricsRegistry& registry, const ShardedCache& cache,
                       const LabelSet& extra = {});
 

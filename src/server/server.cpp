@@ -46,6 +46,9 @@ constexpr std::uint64_t kMetricsListener = 2;
 constexpr std::uint64_t kWakePipe = 3;
 constexpr std::uint64_t kSentinelMax = 3;
 
+/// Bytes read per read() call on a ready connection.
+constexpr std::size_t kReadChunk = std::size_t{64} << 10;
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " +
                            std::strerror(errno));
@@ -122,8 +125,7 @@ CacheServer::CacheServer(ServerOptions options,
                          PolicyFactory factory,
                          const std::vector<CostFunctionPtr>* costs)
     : options_(std::move(options)),
-      cache_(cache_options, std::move(factory), costs),
-      costs_(costs) {}
+      cache_(cache_options, std::move(factory), costs) {}
 
 CacheServer::~CacheServer() {
   for (auto& conn : connections_)
@@ -286,10 +288,10 @@ bool CacheServer::shed_pending_connection(int listener_fd) {
 void CacheServer::handle_readable(Connection& conn) {
   // Read until EAGAIN, with a per-event byte cap so one firehose
   // connection cannot starve the rest (level-triggered epoll re-notifies).
-  const std::size_t read_cap = options_.read_chunk * 16;
+  const std::size_t read_cap = kReadChunk * 16;
   std::size_t read_total = 0;
   static thread_local std::vector<char> chunk;
-  chunk.resize(options_.read_chunk);
+  chunk.resize(kReadChunk);
   while (read_total < read_cap && !conn.closed && !conn.close_after_flush) {
     const ssize_t n = ::read(conn.fd, chunk.data(), chunk.size());
     if (n == 0) {
@@ -578,12 +580,8 @@ void CacheServer::handle_http_request(Connection& conn,
 
 std::string CacheServer::debug_costs_json() const {
   std::ostringstream os;
-  if (costs_ == nullptr) {
-    os << "{\"error\": \"no cost functions configured\"}\n";
-    return os.str();
-  }
   const obs::CostSnapshot snap = obs::CostTracker::collect(cache_).snapshot(
-      *costs_, cache_.total_capacity());
+      cache_.costs(), cache_.total_capacity());
   os << "{\n  \"certified\": " << (snap.certified ? "true" : "false")
      << ",\n  \"cost_total\": " << snap.cost_total
      << ",\n  \"dual_lower_bound\": " << snap.dual_lower_bound
@@ -852,10 +850,9 @@ void CacheServer::drain_and_exit() {
             << " misses=" << metrics.total_misses()
             << " evictions=" << metrics.total_evictions()
             << " connections=" << counters_.connections_accepted
-            << " protocol_errors=" << counters_.protocol_errors;
-  if (cache_.has_costs())
-    std::cout << " miss_cost=" << cache_.global_miss_cost();
-  std::cout << "\n" << std::flush;
+            << " protocol_errors=" << counters_.protocol_errors
+            << " miss_cost=" << cache_.global_miss_cost() << "\n"
+            << std::flush;
 }
 
 namespace {

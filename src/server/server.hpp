@@ -61,8 +61,6 @@ struct ServerOptions {
   std::size_t batch_limit = 1024;
   /// Pending-output bytes beyond which a connection's reads are paused.
   std::size_t max_output_backlog = std::size_t{4} << 20;
-  /// Bytes read per read() call on a ready connection.
-  std::size_t read_chunk = std::size_t{64} << 10;
   /// SO_SNDBUF for accepted cache connections; 0 keeps the kernel default.
   /// A small value makes send() hit EAGAIN early, forcing the backpressure
   /// machinery to engage — the lifecycle tests rely on that determinism.
@@ -95,11 +93,11 @@ struct ServerCounters {
 
 class CacheServer {
  public:
-  /// `factory`/`costs` as in ShardedCache: nullptr selects ALG-DISCRETE;
-  /// `costs`, when given, must outlive the server.
+  /// `factory`/`costs` as in ShardedCache: nullptr `factory` selects
+  /// ALG-DISCRETE; `costs` is required and must outlive the server.
   CacheServer(ServerOptions options, ShardedCacheOptions cache_options,
-              PolicyFactory factory = nullptr,
-              const std::vector<CostFunctionPtr>* costs = nullptr);
+              PolicyFactory factory,
+              const std::vector<CostFunctionPtr>* costs);
   ~CacheServer();
 
   CacheServer(const CacheServer&) = delete;
@@ -185,7 +183,6 @@ class CacheServer {
 
   ServerOptions options_;
   ShardedCache cache_;
-  const std::vector<CostFunctionPtr>* costs_;
 
   int epoll_fd_ = -1;
   int listen_fd_ = -1;

@@ -40,7 +40,7 @@ int run(int argc, const char* const* argv) {
       .flag("capacity", "0", "total capacity in pages (overrides k-per-tenant)")
       .flag("hitpath", "seqlock", "hit path: seqlock (default) or locked")
       .flag("costs", "mono2",
-            "per-tenant convex cost family: mono2,mono3,linear,sla,none")
+            "per-tenant convex cost family: mono2,mono3,linear,sla")
       .flag("seed", "1234", "policy seed (shard s uses seed + s)")
       .flag("max-connections", "1024",
             "cache-protocol connection limit; extras are closed on accept")
@@ -82,20 +82,9 @@ int run(int argc, const char* const* argv) {
       static_cast<std::size_t>(cli.get_u64("max-output-backlog"));
   options.drain_deadline_seconds = cli.get_double("drain-deadline");
 
-  // "none" serves cost-oblivious tenants; any other name is a rotated
-  // family, whose error message also lists "none".
-  const std::string family = cli.get("costs");
-  std::vector<CostFunctionPtr> costs;
-  if (family != "none") {
-    try {
-      costs = make_rotated_costs(family, tenants);
-    } catch (const std::invalid_argument& e) {
-      throw std::invalid_argument(std::string(e.what()) + " none");
-    }
-  }
-
-  server::CacheServer server(options, cache_options, nullptr,
-                             costs.empty() ? nullptr : &costs);
+  const std::vector<CostFunctionPtr> costs =
+      make_rotated_costs(cli.get("costs"), tenants);
+  server::CacheServer server(options, cache_options, nullptr, &costs);
   // Per-batch server spans when CCC_OBS_TRACE names an output file; the
   // /debug/trace endpoint toggles the writer at runtime without a restart.
   const std::unique_ptr<obs::TraceEventWriter> trace_writer =

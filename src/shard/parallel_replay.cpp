@@ -44,7 +44,7 @@ ParallelReplayResult ParallelReplayer::replay(const Trace& trace,
   result.shard_requests.reserve(num_shards);
   for (const std::vector<Request>& stream : streams)
     result.shard_requests.push_back(stream.size());
-  if (cache.has_costs()) result.miss_cost = cache.global_miss_cost();
+  result.miss_cost = cache.global_miss_cost();
   return result;
 }
 

@@ -37,7 +37,7 @@ struct ParallelReplayResult {
   /// Σ over shards of in-lock processing time. shard_seconds / (threads ×
   /// perf.wall_seconds) is the parallel efficiency of the replay.
   double shard_seconds = 0.0;
-  double miss_cost = 0.0;        ///< Σ_i f_i(misses_i); 0 without cost functions
+  double miss_cost = 0.0;        ///< Σ_i f_i(misses_i)
   std::vector<std::uint64_t> shard_requests;  ///< trace share per shard
 };
 

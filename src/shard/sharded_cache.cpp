@@ -4,8 +4,6 @@
 #include <chrono>
 #include <numeric>
 
-#include "core/convex_caching.hpp"
-#include "trace/types.hpp"
 #include "util/check.hpp"
 #include "util/flat_map.hpp"
 
@@ -96,6 +94,9 @@ ShardedCache::ShardedCache(ShardedCacheOptions options, PolicyFactory factory,
               "need at least one page of capacity per shard");
   CCC_REQUIRE(options_.min_shard_capacity >= 1,
               "shard capacities must stay positive");
+  CCC_REQUIRE(costs_ != nullptr,
+              "ShardedCache needs per-tenant cost functions (ALG-DISCRETE "
+              "prices every miss with them)");
   if (factory == nullptr) factory = make_convex_factory();
 
   const std::vector<std::size_t> split =
@@ -103,35 +104,35 @@ ShardedCache::ShardedCache(ShardedCacheOptions options, PolicyFactory factory,
   shards_.reserve(options_.num_shards);
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->policy = factory();
-    CCC_CHECK(shard->policy != nullptr, "policy factory returned null");
+    std::unique_ptr<ReplacementPolicy> policy = factory();
+    CCC_CHECK(policy != nullptr, "policy factory returned null");
+    // Both hit paths serve whole-run ALG-DISCRETE. The optimistic path
+    // serves a "fresh" hit without consulting the policy, which is sound
+    // only when that hit would have been a pure state no-op: true for
+    // ALG-DISCRETE (a hit re-freezes the budget to the value it already
+    // has unless an eviction intervened) but not in general (LRU must move
+    // the page to the MRU position on every hit). The locked path keeps
+    // the same contract so the two stay bit-identical.
+    const auto* convex =
+        dynamic_cast<const ConvexCachingPolicy*>(policy.get());
+    CCC_REQUIRE(convex != nullptr,
+                "ShardedCache requires ALG-DISCRETE shard policies (hits "
+                "must be read-only)");
+    CCC_REQUIRE(convex->options().window_length == 0,
+                "ShardedCache is incompatible with windowed accounting "
+                "(window rollovers re-base budgets on hits)");
+    shard->policy.reset(static_cast<ConvexCachingPolicy*>(policy.release()));
     if (options_.hit_path == HitPath::kSeqlock) {
-      // The optimistic path serves a "fresh" hit without consulting the
-      // policy, which is sound only when that hit would have been a pure
-      // state no-op: true for ALG-DISCRETE (a hit re-freezes the budget to
-      // the value it already has unless an eviction intervened) but not in
-      // general (LRU must move the page to the MRU position on every hit).
-      const auto* convex =
-          dynamic_cast<const ConvexCachingPolicy*>(shard->policy.get());
-      CCC_REQUIRE(convex != nullptr,
-                  "HitPath::kSeqlock requires ALG-DISCRETE shard policies "
-                  "(hits must be read-only)");
-      CCC_REQUIRE(convex->options().window_length == 0,
-                  "HitPath::kSeqlock is incompatible with windowed "
-                  "accounting (window rollovers re-base budgets on hits)");
-      shard->convex = convex;
       // One table sized for the *total* capacity: rebalancing may hand
       // this shard (almost) everything, and reallocation would pull the
       // arrays out from under concurrent lock-free readers. Tenant count
       // sizes the per-tenant epoch array (per-tenant freshness).
       shard->table.allocate(pow2_at_least(2 * options_.capacity + 2),
                             options_.num_tenants);
-      shard->lockfree_hits = std::make_unique<std::atomic<std::uint64_t>[]>(
-          options_.num_tenants);
-      for (std::uint32_t t = 0; t < options_.num_tenants; ++t)
-        // Pre-publication init: no concurrent reader exists yet.
-        shard->lockfree_hits[t].store(0, std::memory_order_relaxed);
     }
+    // Value-initialized, so every tally starts at zero.
+    shard->lockfree_hits = std::make_unique<std::atomic<std::uint64_t>[]>(
+        options_.num_tenants);
     SimOptions sim_options;
     sim_options.seed = options_.seed + s;
     sim_options.step_observer = options_.step_observer;
@@ -210,94 +211,66 @@ bool ShardedCache::apply_event_seqlock(Shard& shard, const StepEvent& event) {
     shard.table.publish_insert(event.request.page, event.request.tenant);
     return false;
   }
-  // Simulator evictions always carry the victim's owner; fall back to the
-  // PageId-packed tenant only for synthetic events in tests.
-  const TenantId owner =
-      event.victim_owner.value_or(page_owner(*event.victim));
   shard.table.evict_and_insert(*event.victim, event.request.page,
-                               event.request.tenant, owner,
-                               shard.convex->last_evict_moved_offset(),
-                               shard.convex->last_evict_refreshed_tenant());
+                               event.request.tenant, *event.victim_owner,
+                               shard.policy->last_evict_moved_offset(),
+                               shard.policy->last_evict_refreshed_tenant());
   return false;
 }
 
 StepEvent ShardedCache::access(const Request& request) {
-  Shard& shard = *shards_[shard_of(request.page)];
-  if (options_.hit_path == HitPath::kSeqlock) {
-    StepEvent event;
-    if (try_seqlock_hit(shard, request, event)) return event;
-    const util::MutexLock lock(shard.mutex);
-    const auto start = SteadyClock::now();
-    event = shard.session->step(request);
-    apply_event_seqlock(shard, event);
-    shard.wall_seconds += seconds_since(start);
-    return event;
-  }
-  const util::MutexLock lock(shard.mutex);
-  const auto start = SteadyClock::now();
-  StepEvent event = shard.session->step(request);
-  shard.wall_seconds += seconds_since(start);
+  StepEvent event;
+  process_group(*shards_[shard_of(request.page)], {&request, 1}, nullptr,
+                &event);
   return event;
 }
 
 void ShardedCache::process_group(Shard& shard, std::span<const Request> batch,
                                  const std::vector<std::size_t>* group,
-                                 std::vector<StepEvent>* events,
-                                 std::size_t base) {
+                                 StepEvent* events) {
   const std::size_t n = group != nullptr ? group->size() : batch.size();
   const auto idx = [group](std::size_t j) {
     return group != nullptr ? (*group)[j] : j;
   };
+  const bool lockfree = options_.hit_path == HitPath::kSeqlock;
+  // Alternate lock-free and locked runs, always in submission order (a
+  // request is never served before an earlier one — a mid-group eviction
+  // can touch a later request's page, so reordering would change the
+  // books). A locked run starts at the first request the optimistic path
+  // cannot serve and ends once a streak of already-fresh hits shows the
+  // table is serviceable again; on a stale-heavy stream, or with the
+  // probe off (kLocked), the streak never forms and the whole remainder
+  // runs under one lock acquisition. Outcomes are written straight into
+  // their `events` slot (or `discard` when the caller wants none).
+  StepEvent discard;
   std::size_t j = 0;
-  if (options_.hit_path == HitPath::kSeqlock) {
-    // Alternate lock-free and locked runs, always in submission order (a
-    // request is never served before an earlier one — a mid-group
-    // eviction can touch a later request's page, so reordering would
-    // change the books). A locked run starts at the first request the
-    // optimistic path cannot serve and ends once a streak of
-    // already-fresh hits shows the table is serviceable again; on a
-    // stale-heavy stream the streak never forms and the whole remainder
-    // runs under one lock acquisition, same as the locked path.
-    StepEvent event;
-    while (j < n) {
-      for (; j < n; ++j) {
-        if (!try_seqlock_hit(shard, batch[idx(j)], event)) break;
-        if (events != nullptr) (*events)[base + idx(j)] = event;
-      }
-      if (j == n) return;
-      const util::MutexLock lock(shard.mutex);
-      const auto start = SteadyClock::now();
-      const CacheState& cache = shard.session->cache();
-      std::size_t fresh_streak = 0;
-      for (; j < n && fresh_streak < kSeqlockResumeStreak; ++j) {
-        if (j + kPrefetchDistance < n)
-          cache.prefetch(batch[idx(j + kPrefetchDistance)].page);
-        StepEvent locked_event = shard.session->step(batch[idx(j)]);
-        fresh_streak = apply_event_seqlock(shard, locked_event)
-                           ? fresh_streak + 1
-                           : 0;
-        if (events != nullptr) (*events)[base + idx(j)] = locked_event;
-      }
-      shard.wall_seconds += seconds_since(start);
+  while (j < n) {
+    for (; lockfree && j < n; ++j) {
+      StepEvent& event = events != nullptr ? events[idx(j)] : discard;
+      if (!try_seqlock_hit(shard, batch[idx(j)], event)) break;
     }
-    return;
+    if (j == n) return;
+    const util::MutexLock lock(shard.mutex);
+    const auto start = SteadyClock::now();
+    const CacheState& cache = shard.session->cache();
+    std::size_t fresh_streak = 0;
+    for (; j < n && fresh_streak < kSeqlockResumeStreak; ++j) {
+      // Probe-ahead: pull the residency-table line of a request a few
+      // slots ahead while the current one is processed.
+      if (j + kPrefetchDistance < n)
+        cache.prefetch(batch[idx(j + kPrefetchDistance)].page);
+      StepEvent& event = events != nullptr ? events[idx(j)] : discard;
+      event = shard.session->step(batch[idx(j)]);
+      fresh_streak = (lockfree && apply_event_seqlock(shard, event))
+                         ? fresh_streak + 1
+                         : 0;
+    }
+    shard.wall_seconds += seconds_since(start);
   }
-  const util::MutexLock lock(shard.mutex);
-  const auto start = SteadyClock::now();
-  const CacheState& cache = shard.session->cache();
-  for (; j < n; ++j) {
-    // Probe-ahead: pull the residency-table line of a request a few slots
-    // ahead while the current one is processed.
-    if (j + kPrefetchDistance < n)
-      cache.prefetch(batch[idx(j + kPrefetchDistance)].page);
-    StepEvent event = shard.session->step(batch[idx(j)]);
-    if (events != nullptr) (*events)[base + idx(j)] = event;
-  }
-  shard.wall_seconds += seconds_since(start);
 }
 
 void ShardedCache::access_batch(std::span<const Request> batch) {
-  dispatch(batch, nullptr, 0);
+  dispatch(batch, nullptr);
 }
 
 void ShardedCache::access_batch(std::span<const Request> batch,
@@ -307,13 +280,13 @@ void ShardedCache::access_batch(std::span<const Request> batch,
   // across shards.
   const std::size_t base = events.size();
   events.resize(base + batch.size());
-  dispatch(batch, &events, base);
+  dispatch(batch, events.data() + base);
 }
 
 void ShardedCache::dispatch(std::span<const Request> batch,
-                            std::vector<StepEvent>* events, std::size_t base) {
+                            StepEvent* events) {
   if (shards_.size() == 1) {
-    process_group(*shards_[0], batch, nullptr, events, base);
+    process_group(*shards_[0], batch, nullptr, events);
     return;
   }
   // Group by shard without reordering within a group: bucket the request
@@ -327,8 +300,22 @@ void ShardedCache::dispatch(std::span<const Request> batch,
     groups[shard_of(batch[i].page)].push_back(i);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (groups[s].empty()) continue;
-    process_group(*shards_[s], batch, &groups[s], events, base);
+    process_group(*shards_[s], batch, &groups[s], events);
   }
+}
+
+std::uint64_t ShardedCache::fold_lockfree_hits(const Shard& shard,
+                                               Metrics* metrics) const {
+  std::uint64_t total = 0;
+  for (std::uint32_t t = 0; t < options_.num_tenants; ++t) {
+    // Relaxed: a monotone tally; aggregation runs quiesced (or tolerates
+    // a slightly stale count by contract).
+    const std::uint64_t hits =
+        shard.lockfree_hits[t].load(std::memory_order_relaxed);
+    if (metrics != nullptr) metrics->record_hits(t, hits);
+    total += hits;
+  }
+  return total;
 }
 
 Metrics ShardedCache::aggregated_metrics() const {
@@ -338,12 +325,7 @@ Metrics ShardedCache::aggregated_metrics() const {
     total.merge(shard->session->metrics());
     // Hits served lock-free bypassed the session's books; fold them in so
     // the aggregate equals a locked run's totals per tenant.
-    if (shard->lockfree_hits != nullptr)
-      for (std::uint32_t t = 0; t < options_.num_tenants; ++t)
-        // Relaxed: a monotone tally; aggregation runs quiesced (or
-        // tolerates a slightly stale count by contract).
-        total.record_hits(
-            t, shard->lockfree_hits[t].load(std::memory_order_relaxed));
+    (void)fold_lockfree_hits(*shard, &total);
   }
   return total;
 }
@@ -360,23 +342,15 @@ PerfCounters ShardedCache::aggregated_perf() const {
     // kSeqlock the wall time covers the locked residue only; throughput
     // benches time the full loop externally.)
     perf.wall_seconds = shard->wall_seconds;
-    if (shard->lockfree_hits != nullptr) {
-      std::uint64_t lockfree = 0;
-      for (std::uint32_t t = 0; t < options_.num_tenants; ++t)
-        // Relaxed: monotone tally, stale-tolerant aggregation.
-        lockfree +=
-            shard->lockfree_hits[t].load(std::memory_order_relaxed);
-      perf.requests += lockfree;  // the session only counted locked steps
-      perf.lockfree_hits += lockfree;
-    }
+    const std::uint64_t lockfree = fold_lockfree_hits(*shard, nullptr);
+    perf.requests += lockfree;  // the session only counted locked steps
+    perf.lockfree_hits += lockfree;
     total.merge(perf);
   }
   return total;
 }
 
 double ShardedCache::global_miss_cost() const {
-  CCC_REQUIRE(costs_ != nullptr,
-              "global_miss_cost needs per-tenant cost functions");
   std::vector<std::uint64_t> misses(options_.num_tenants, 0);
   for (const auto& shard : shards_) {
     const util::MutexLock lock(shard->mutex);
@@ -396,13 +370,9 @@ std::vector<ShardStats> ShardedCache::shard_stats() const {
     ShardStats s;
     s.capacity = shard->session->cache().capacity();
     s.resident = shard->session->cache().size();
-    s.hits = m.total_hits();
+    s.hits = m.total_hits() + fold_lockfree_hits(*shard, nullptr);
     s.misses = m.total_misses();
     s.evictions = m.total_evictions();
-    if (shard->lockfree_hits != nullptr)
-      for (std::uint32_t t = 0; t < options_.num_tenants; ++t)
-        // Relaxed: monotone tally, stale-tolerant aggregation.
-        s.hits += shard->lockfree_hits[t].load(std::memory_order_relaxed);
     stats.push_back(s);
   }
   return stats;
@@ -413,15 +383,9 @@ std::vector<ShardDualAccount> ShardedCache::dual_accounts() const {
   accounts.reserve(shards_.size());
   for (const auto& shard : shards_) {
     const util::MutexLock lock(shard->mutex);
-    ShardDualAccount account;
-    const auto* convex =
-        dynamic_cast<const ConvexCachingPolicy*>(shard->policy.get());
-    if (convex != nullptr) {
-      account.valid = convex->dual_certificate_valid();
-      account.mass = convex->dual_mass_by_tenant();
-      account.evictions = convex->tenant_evictions();
-    }
-    accounts.push_back(std::move(account));
+    accounts.push_back({shard->policy->dual_certificate_valid(),
+                        shard->policy->dual_mass_by_tenant(),
+                        shard->policy->tenant_evictions()});
   }
   return accounts;
 }
@@ -436,31 +400,12 @@ std::vector<std::size_t> ShardedCache::capacities() const {
   return caps;
 }
 
-void ShardedCache::set_rebalance_hook(RebalanceHook hook) {
-  rebalance_hook_ = std::move(hook);
-}
-
 void ShardedCache::rebalance() {
-  const std::vector<ShardStats> stats = shard_stats();
-  std::vector<std::size_t> split;
-  if (rebalance_hook_) {
-    split = rebalance_hook_(stats);
-  } else {
-    std::vector<std::uint64_t> misses;
-    misses.reserve(stats.size());
-    for (const ShardStats& s : stats) misses.push_back(s.misses);
-    split = miss_rate_split(options_.capacity, misses,
-                            options_.min_shard_capacity);
-  }
-  CCC_REQUIRE(split.size() == shards_.size(),
-              "rebalance hook returned the wrong number of shards");
-  std::size_t sum = 0;
-  for (const std::size_t c : split) {
-    CCC_REQUIRE(c > 0, "rebalance hook starved a shard");
-    sum += c;
-  }
-  CCC_REQUIRE(sum == options_.capacity,
-              "rebalance hook changed the total capacity");
+  std::vector<std::uint64_t> misses;
+  misses.reserve(shards_.size());
+  for (const ShardStats& s : shard_stats()) misses.push_back(s.misses);
+  const std::vector<std::size_t> split = miss_rate_split(
+      options_.capacity, misses, options_.min_shard_capacity);
   const std::vector<std::size_t> before =
       options_.step_observer != nullptr ? capacities()
                                         : std::vector<std::size_t>{};
@@ -468,17 +413,16 @@ void ShardedCache::rebalance() {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     const util::MutexLock lock(shard.mutex);
-    if (options_.hit_path == HitPath::kSeqlock) {
-      // Resizing may evict (drain a shrinking shard) and in any case
-      // re-bases what "fresh" means, so the resize and the table rebuild
-      // (with its all-stale stamps + epoch bump) share one odd seq
-      // window. Readers retry through the mutex meanwhile.
-      shard.table.open_window();
-      shard.session->resize(split[s]);
+    // Resizing may evict (drain a shrinking shard) and in any case re-bases
+    // what "fresh" means, so where a seqlock table exists the resize and
+    // its rebuild (all-stale stamps + epoch bump) share one odd seq
+    // window. Readers retry through the mutex meanwhile.
+    const bool table = shard.table.allocated();
+    if (table) shard.table.open_window();
+    shard.session->resize(split[s]);
+    if (table) {
       shard.table.rebuild(shard.session->cache().pages());
       shard.table.close_window();
-    } else {
-      shard.session->resize(split[s]);
     }
   }
   if (options_.step_observer != nullptr)

@@ -5,8 +5,8 @@
 ///        concurrent traffic from one logical cache.
 ///
 /// Pages are partitioned by a mixed hash of their id; shard s owns the
-/// pages with `shard_of(page) == s` and runs its own ReplacementPolicy
-/// (ALG-DISCRETE by default, via make_convex_factory) over its own
+/// pages with `shard_of(page) == s` and runs its own whole-run
+/// ALG-DISCRETE instance (Fig. 3, ConvexCachingPolicy) over its own
 /// CacheState, budgets and eviction index, behind a per-shard mutex. The
 /// decomposition is sound for the paper's algorithm because ALG-DISCRETE's
 /// entire state — budgets B(p), per-tenant miss counts m(i), the global
@@ -37,25 +37,24 @@
 /// is already current — bypasses the mutex entirely: readers probe a flat
 /// per-shard residency table validated by a per-shard sequence counter and
 /// an eviction epoch, and fall back to the locked path on a torn read, a
-/// miss, or a stale budget stamp. Sound for ALG-DISCRETE only (enforced at
-/// construction) because such a "fresh" hit is a pure state no-op there;
+/// miss, or a stale budget stamp. Sound because such a "fresh" hit is a
+/// pure state no-op in whole-run ALG-DISCRETE — the one policy this
+/// frontend serves, on either hit path (checked at construction);
 /// DESIGN.md §10 gives the full argument and the memory-order recipe.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "core/convex_caching.hpp"
 #include "shard/seqlock_table.hpp"
 #include "sim/simulator.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace ccc {
-
-class ConvexCachingPolicy;
 
 /// Splits `total` capacity into `shards` parts differing by at most one
 /// page (the first `total % shards` shards get the extra page). Every
@@ -65,8 +64,8 @@ class ConvexCachingPolicy;
 
 /// Miss-rate-driven split: capacity proportional to each shard's share of
 /// the observed misses (+1 smoothing so an idle shard keeps a foothold),
-/// floored at `min_per_shard`, remainder to the heaviest missers. The
-/// default rebalancer hook feeds recent per-shard miss counts through this.
+/// floored at `min_per_shard`, remainder to the heaviest missers.
+/// ShardedCache::rebalance() feeds the per-shard miss counts through this.
 [[nodiscard]] std::vector<std::size_t> miss_rate_split(
     std::size_t total, const std::vector<std::uint64_t>& misses,
     std::size_t min_per_shard);
@@ -79,9 +78,12 @@ class ConvexCachingPolicy;
 [[nodiscard]] std::size_t shard_of_page(PageId page,
                                         std::size_t num_shards) noexcept;
 
-/// How hits reach their shard.
+/// How hits reach their shard. Both paths serve the same ALG-DISCRETE
+/// shards and single-threaded replays produce bit-identical metrics, events
+/// and victim sequences on either; kLocked is the seqlock drain with the
+/// lock-free probe switched off.
 enum class HitPath {
-  kLocked,   ///< every request takes the shard mutex (the safe default)
+  kLocked,   ///< every request takes the shard mutex (the default)
   kSeqlock,  ///< fresh hits go lock-free; misses/evictions take the mutex
 };
 
@@ -90,13 +92,8 @@ struct ShardedCacheOptions {
   std::size_t num_shards = 1;
   std::uint32_t num_tenants = 0;
   std::uint64_t seed = 1;      ///< shard s seeds its policy with seed + s
-  /// Capacity floor per shard enforced by the default rebalancer.
+  /// Capacity floor per shard enforced by rebalance().
   std::size_t min_shard_capacity = 1;
-  /// kSeqlock requires an ALG-DISCRETE policy (the default factory) with
-  /// `window_length == 0` — the constructor rejects anything else, since
-  /// the optimistic path is only sound when a fresh hit changes no policy
-  /// state. Single-threaded replays produce bit-identical metrics, events
-  /// and victim sequences on either path.
   HitPath hit_path = HitPath::kLocked;
   /// Optional observability hook, shared by *all* shards — it must be
   /// thread-safe (obs::SimObserver is: lock-free histograms, mutexed trace
@@ -111,8 +108,8 @@ struct ShardedCacheOptions {
 /// the Fenchel correction must be applied per shard — obs::CostTracker
 /// keeps these accounts separate instead of summing them element-wise.
 struct ShardDualAccount {
-  /// False unless the shard runs ALG-DISCRETE in the paper's whole-run
-  /// configuration (see ConvexCachingPolicy::dual_certificate_valid).
+  /// False when the shard's ALG-DISCRETE runs an ablation that voids the
+  /// certificate (see ConvexCachingPolicy::dual_certificate_valid).
   bool valid = false;
   std::vector<double> mass;                 ///< Σ B(victim) per tenant
   std::vector<std::uint64_t> evictions;     ///< m(i, s) per tenant
@@ -136,22 +133,19 @@ struct ShardStats {
 
 class ShardedCache {
  public:
-  /// Computes a new capacity split from the current per-shard stats. Must
-  /// return `num_shards()` positive entries summing to the total capacity
-  /// (rebalance() validates and throws otherwise).
-  using RebalanceHook =
-      std::function<std::vector<std::size_t>(const std::vector<ShardStats>&)>;
-
   /// `factory` builds one independent policy per shard (nullptr selects
-  /// ALG-DISCRETE via make_convex_factory). `costs`, when provided, must
-  /// hold one function per tenant and outlive the cache.
+  /// make_convex_factory()). On either hit path every shard must run
+  /// whole-run ALG-DISCRETE: the constructor throws unless the factory
+  /// builds a ConvexCachingPolicy with `window_length == 0` and `costs` is
+  /// non-null. `costs` must hold one function per tenant and outlive the
+  /// cache.
   ShardedCache(ShardedCacheOptions options, PolicyFactory factory,
                const std::vector<CostFunctionPtr>* costs);
 
   ShardedCache(const ShardedCache&) = delete;
   ShardedCache& operator=(const ShardedCache&) = delete;
 
-  /// Routes one request to its shard (locks it) and returns what happened.
+  /// Serves one request as a one-request batch and returns what happened.
   StepEvent access(const Request& request);
 
   /// Groups `batch` by shard, then processes each group under one lock
@@ -196,17 +190,13 @@ class ShardedCache {
   /// the average per-request processing cost inside the shard locks.
   [[nodiscard]] PerfCounters aggregated_perf() const;
 
-  /// Σ_i f_i(Σ_s misses_{i,s}) under the constructor's cost functions;
-  /// throws if none were provided.
+  /// Σ_i f_i(Σ_s misses_{i,s}) under the constructor's cost functions.
   [[nodiscard]] double global_miss_cost() const;
 
-  /// Whether the constructor received per-tenant cost functions.
-  [[nodiscard]] bool has_costs() const noexcept { return costs_ != nullptr; }
-
-  /// The constructor's per-tenant cost functions (nullptr when absent) —
-  /// read by the obs snapshot helpers to price per-tenant misses.
-  [[nodiscard]] const std::vector<CostFunctionPtr>* costs() const noexcept {
-    return costs_;
+  /// The constructor's per-tenant cost functions — read by the obs
+  /// snapshot helpers and the server's debug surface to price misses.
+  [[nodiscard]] const std::vector<CostFunctionPtr>& costs() const noexcept {
+    return *costs_;
   }
 
   [[nodiscard]] std::vector<ShardStats> shard_stats() const;
@@ -214,17 +204,15 @@ class ShardedCache {
 
   /// One dual account per shard, read under each shard's mutex (locks are
   /// taken one at a time, like every other aggregation path). Accounts are
-  /// `valid == false` when the shard's policy is not ALG-DISCRETE in the
-  /// certificate-bearing configuration; obs::CostTracker then reports no
-  /// lower bound rather than a wrong one.
+  /// `valid == false` when the shard's ALG-DISCRETE runs a
+  /// certificate-voiding ablation; obs::CostTracker then reports no lower
+  /// bound rather than a wrong one.
   [[nodiscard]] std::vector<ShardDualAccount> dual_accounts() const;
 
-  /// Replaces the rebalancer (nullptr restores the default miss-rate hook).
-  void set_rebalance_hook(RebalanceHook hook);
-
-  /// Recomputes the capacity split from current shard stats via the hook
-  /// and applies it: growing shards just get headroom, shrinking shards
-  /// drain immediately through their policy's eviction path (see
+  /// Recomputes the capacity split from the per-shard miss counts
+  /// (miss_rate_split, floored at `min_shard_capacity`) and applies it:
+  /// growing shards just get headroom, shrinking shards drain immediately
+  /// through their policy's eviction path (see
   /// SimulatorSession::resize). Data-race-free against concurrent access
   /// in both hit-path modes (each shard is resized under its mutex, and
   /// under kSeqlock the table rebuild sits inside an odd seq window so
@@ -242,33 +230,34 @@ class ShardedCache {
     /// Policy and session state is mutated only under `mutex` — the
     /// pt_guarded_by annotations make the analysis reject any unlocked
     /// dereference (the pointers themselves are set once at construction
-    /// and never reseated).
-    std::unique_ptr<ReplacementPolicy> policy CCC_PT_GUARDED_BY(mutex);
+    /// and never reseated). The policy is read right after each locked
+    /// step for the freshness signals its eviction raised — whether the
+    /// shared offset moved and whether the victim tenant's budgets were
+    /// re-based — so evict_and_insert stales exactly the entries whose
+    /// effective budgets changed.
+    std::unique_ptr<ConvexCachingPolicy> policy CCC_PT_GUARDED_BY(mutex);
     std::unique_ptr<SimulatorSession> session CCC_PT_GUARDED_BY(mutex);
-    /// Time spent processing this shard's requests (timed per access()
-    /// call / per batch group, so batched ingestion amortizes the clock
-    /// reads). Summed by aggregated_perf().
+    /// Time spent processing this shard's requests (timed per locked run,
+    /// so batched ingestion amortizes the clock reads). Summed by
+    /// aggregated_perf().
     double wall_seconds CCC_GUARDED_BY(mutex) = 0.0;
     mutable util::Mutex mutex;
 
-    // ---- seqlock hit path (allocated only under HitPath::kSeqlock) ----
-    /// Lock-free residency mirror (protocol lives in seqlock_table.hpp):
-    /// readers probe it with no lock; all writer-side members are called
-    /// only while holding `mutex` (single writer). Sized once at ≥ 2x the
-    /// *total* capacity so rebalancing never reallocates under a
-    /// concurrent reader.
+    /// Lock-free residency mirror (protocol lives in seqlock_table.hpp),
+    /// allocated only under HitPath::kSeqlock: readers probe it with no
+    /// lock; all writer-side members are called only while holding
+    /// `mutex` (single writer). Sized once at ≥ 2x the *total* capacity so
+    /// rebalancing never reallocates under a concurrent reader.
     SeqlockResidencyTable<StdAtomics> table;
-    /// Downcast view of `policy` (kSeqlock requires ALG-DISCRETE, so the
-    /// cast is checked once at construction). Read under `mutex` right
-    /// after each locked step to learn which freshness signals the
-    /// eviction raised — whether the shared offset moved and whether the
-    /// victim tenant's budgets were re-based — so evict_and_insert can
-    /// stale exactly the entries whose effective budgets changed.
-    const ConvexCachingPolicy* convex CCC_PT_GUARDED_BY(mutex) = nullptr;
     /// Per-tenant hits served lock-free (folded into metrics/perf on
     /// aggregation; never written by the locked path).
     std::unique_ptr<std::atomic<std::uint64_t>[]> lockfree_hits;
   };
+
+  /// Hits `shard` served lock-free: added per tenant into `metrics` when
+  /// non-null, and returned as a total.
+  std::uint64_t fold_lockfree_hits(const Shard& shard,
+                                   Metrics* metrics) const;
 
   /// Lock-free fast path: returns true iff `request` was a fresh hit and
   /// has been fully served (event filled in, hit tallied). Must NOT hold
@@ -282,25 +271,25 @@ class ShardedCache {
   /// that as its resume signal.
   bool apply_event_seqlock(Shard& shard, const StepEvent& event)
       CCC_REQUIRES(shard.mutex);
-  /// Processes one shard's slice of a batch in submission order. Under
-  /// kSeqlock the slice is served as alternating runs: a lock-free run of
-  /// fresh hits, then — at the first request needing the mutex — a locked
-  /// run that ends once a streak of already-fresh hits shows the
-  /// optimistic path is viable again. Locked runs use probe-ahead
-  /// prefetching. `group == nullptr` means the slice is the whole batch
-  /// (single-shard fast path).
+  /// The one request path: processes one shard's slice of a batch in
+  /// submission order, as alternating runs — a lock-free run of fresh hits,
+  /// then, at the first request needing the mutex, a locked run that ends
+  /// once a streak of already-fresh hits shows the optimistic path is
+  /// viable again. Under kLocked the lock-free probe is off, so the whole
+  /// slice is one locked run. Locked runs use probe-ahead prefetching.
+  /// `group == nullptr` means the slice is the whole batch; `events` (when
+  /// non-null) receives the outcome of `batch[i]` at `events[i]`.
   void process_group(Shard& shard, std::span<const Request> batch,
                      const std::vector<std::size_t>* group,
-                     std::vector<StepEvent>* events, std::size_t base);
+                     StepEvent* events);
   /// Both access_batch overloads: groups `batch` by shard and drains each
-  /// group; `events` (when non-null) receives outcomes from `base` on.
-  void dispatch(std::span<const Request> batch,
-                std::vector<StepEvent>* events, std::size_t base);
+  /// group; `events` (when non-null) receives the outcome of `batch[i]` at
+  /// `events[i]`.
+  void dispatch(std::span<const Request> batch, StepEvent* events);
 
   ShardedCacheOptions options_;
-  const std::vector<CostFunctionPtr>* costs_ = nullptr;
+  const std::vector<CostFunctionPtr>* costs_;  ///< non-null, not owned
   std::vector<std::unique_ptr<Shard>> shards_;
-  RebalanceHook rebalance_hook_;
 };
 
 }  // namespace ccc

@@ -226,20 +226,6 @@ class FlatMap {
 #endif
   }
 
-  // Raw SoA slot arrays: slot i is live iff key_data()[i] != kEmptyKey.
-  // These let whole-table passes (the windowed budget re-base) run as flat
-  // index loops the compiler can vectorize instead of proxy-iterator loops.
-  [[nodiscard]] const key_type* key_data() const noexcept {
-    return keys_.data();
-  }
-  [[nodiscard]] Value* value_data() noexcept { return values_.data(); }
-  [[nodiscard]] const Value* value_data() const noexcept {
-    return values_.data();
-  }
-  [[nodiscard]] std::size_t slot_count() const noexcept {
-    return keys_.size();
-  }
-
   [[nodiscard]] iterator begin() {
     iterator it(this, 0);
     it.skip_empty();

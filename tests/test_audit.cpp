@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -167,6 +168,13 @@ struct CleanCase {
   std::vector<CostFunctionPtr> (*costs)(std::uint32_t);
   DerivativeMode derivative;
   std::size_t window;
+
+  // Printed by name: gtest's default byte dump includes the `name` pointer,
+  // which address-space randomisation moves, so the listed test names would
+  // change from one build to the next.
+  friend std::ostream& operator<<(std::ostream& os, const CleanCase& c) {
+    return os << c.name;
+  }
 };
 
 class AuditCleanRunTest : public ::testing::TestWithParam<CleanCase> {};

@@ -214,7 +214,6 @@ TEST(Server, LoopbackReplayBitIdenticalToDirectBatchReplay) {
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kCapacity = 32;
   constexpr std::size_t kConnections = 3;
-  ServerHarness harness({}, kTenants, kShards, kCapacity);
   const Trace trace = zipf_trace(kTenants, 20000, 42);
 
   // Partition by shard so each shard's subsequence arrives over exactly
@@ -223,18 +222,6 @@ TEST(Server, LoopbackReplayBitIdenticalToDirectBatchReplay) {
   for (const Request& request : trace.requests())
     partition[shard_of_page(request.page, kShards) % kConnections].push_back(
         request);
-
-  std::vector<std::thread> workers;
-  for (std::size_t c = 0; c < kConnections; ++c)
-    workers.emplace_back([&, c] {
-      server::BlockingClient client(kLoopback, harness.port());
-      const auto statuses = replay(client, partition[c], 128);
-      EXPECT_EQ(statuses.size(), partition[c].size());
-    });
-  for (std::thread& worker : workers) worker.join();
-
-  server::BlockingClient probe(kLoopback, harness.port());
-  const server::StatsPayload stats = probe.stats();
 
   // Direct single-threaded replay of the same trace — the reference books.
   const auto costs = quadratic_costs(kTenants);
@@ -249,16 +236,34 @@ TEST(Server, LoopbackReplayBitIdenticalToDirectBatchReplay) {
   reference.access_batch(std::span<const Request>(trace.requests()), events);
   const Metrics ref_metrics = reference.aggregated_metrics();
 
-  for (TenantId t = 0; t < kTenants; ++t) {
-    EXPECT_EQ(stats.hits[t], ref_metrics.hits(t)) << "tenant " << t;
-    EXPECT_EQ(stats.misses[t], ref_metrics.misses(t)) << "tenant " << t;
-    EXPECT_EQ(stats.evictions[t], ref_metrics.evictions(t)) << "tenant " << t;
+  // The books are hit-path invariant, so a server on either path must
+  // reproduce the same reference.
+  for (const HitPath path : {HitPath::kSeqlock, HitPath::kLocked}) {
+    SCOPED_TRACE(path == HitPath::kSeqlock ? "seqlock" : "locked");
+    ServerHarness harness({}, kTenants, kShards, kCapacity, path);
+    std::vector<std::thread> workers;
+    for (std::size_t c = 0; c < kConnections; ++c)
+      workers.emplace_back([&, c] {
+        server::BlockingClient client(kLoopback, harness.port());
+        const auto statuses = replay(client, partition[c], 128);
+        EXPECT_EQ(statuses.size(), partition[c].size());
+      });
+    for (std::thread& worker : workers) worker.join();
+
+    server::BlockingClient probe(kLoopback, harness.port());
+    const server::StatsPayload stats = probe.stats();
+    for (TenantId t = 0; t < kTenants; ++t) {
+      EXPECT_EQ(stats.hits[t], ref_metrics.hits(t)) << "tenant " << t;
+      EXPECT_EQ(stats.misses[t], ref_metrics.misses(t)) << "tenant " << t;
+      EXPECT_EQ(stats.evictions[t], ref_metrics.evictions(t))
+          << "tenant " << t;
+    }
+    const double server_cost = total_cost(stats.misses, costs);
+    const double reference_cost =
+        total_cost(ref_metrics.miss_vector(), costs);
+    EXPECT_DOUBLE_EQ(server_cost, reference_cost);  // cost ratio exactly 1.00
+    EXPECT_EQ(harness.stop(), 0);
   }
-  const double server_cost = total_cost(stats.misses, costs);
-  const double reference_cost =
-      total_cost(ref_metrics.miss_vector(), costs);
-  EXPECT_DOUBLE_EQ(server_cost, reference_cost);  // cost ratio exactly 1.00
-  EXPECT_EQ(harness.stop(), 0);
 }
 
 TEST(Server, RebalanceOpcodeMatchesDirectReplayWithRebalance) {

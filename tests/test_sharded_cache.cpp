@@ -410,27 +410,6 @@ TEST(ShardedCache, RebalanceKeepsTotalCapacityAndDrainsShrunkShards) {
   EXPECT_EQ(m.total_hits() + m.total_misses(), trace.size() + more.size());
 }
 
-TEST(ShardedCache, RebalanceHookIsValidated) {
-  const auto costs = quadratic_costs(4);
-  ShardedCache cache(options_for(32, 4, 4), nullptr, &costs);
-  cache.set_rebalance_hook(
-      [](const std::vector<ShardStats>&) {
-        return std::vector<std::size_t>{32, 0, 0, 0};  // starves shards
-      });
-  EXPECT_THROW(cache.rebalance(), std::invalid_argument);
-  cache.set_rebalance_hook(
-      [](const std::vector<ShardStats>&) {
-        return std::vector<std::size_t>{8, 8, 8};  // wrong shard count
-      });
-  EXPECT_THROW(cache.rebalance(), std::invalid_argument);
-  cache.set_rebalance_hook(
-      [](const std::vector<ShardStats>&) {
-        return std::vector<std::size_t>{16, 8, 4, 4};
-      });
-  cache.rebalance();
-  EXPECT_EQ(cache.capacities(), (std::vector<std::size_t>{16, 8, 4, 4}));
-}
-
 // ------------------------------------------------------------------ stress
 
 // Concurrent writers with randomized batch sizes — the TSan target. Any
@@ -512,24 +491,31 @@ ShardedCacheOptions seqlock_options(std::size_t capacity, std::size_t shards,
   return options;
 }
 
-// The optimistic path is only sound for ALG-DISCRETE with unwindowed
-// accounting; anything else must be rejected at construction, not fail
-// subtly at runtime.
+// The optimistic path is only sound for whole-run ALG-DISCRETE, and the
+// locked path serves the same contract so the two stay bit-identical:
+// on either hit path anything else must be rejected at construction, not
+// fail subtly at runtime.
 TEST(ShardedCacheSeqlock, ConstructorRejectsUnsoundPolicies) {
   const auto costs = quadratic_costs(4);
-  // Cost-oblivious policy: hits mutate recency state, never read-only.
-  EXPECT_THROW(ShardedCache(seqlock_options(16, 2, 4),
-                            [] { return make_policy("lru"); }, &costs),
-               std::invalid_argument);
-  // Windowed ALG-DISCRETE: rollovers re-base budgets on the hit path.
   ConvexCachingOptions windowed;
   windowed.window_length = 64;
-  EXPECT_THROW(ShardedCache(seqlock_options(16, 2, 4),
-                            make_convex_factory(windowed), &costs),
-               std::invalid_argument);
-  // The default factory is fine.
-  ShardedCache ok(seqlock_options(16, 2, 4), nullptr, &costs);
-  EXPECT_EQ(ok.num_shards(), 2u);
+  for (const HitPath path : {HitPath::kLocked, HitPath::kSeqlock}) {
+    auto options = options_for(16, 2, 4);
+    options.hit_path = path;
+    // Cost-oblivious policy: hits mutate recency state, never read-only.
+    EXPECT_THROW(
+        ShardedCache(options, [] { return make_policy("lru"); }, &costs),
+        std::invalid_argument);
+    // Windowed ALG-DISCRETE: rollovers re-base budgets on the hit path.
+    EXPECT_THROW(ShardedCache(options, make_convex_factory(windowed), &costs),
+                 std::invalid_argument);
+    // ALG-DISCRETE prices every miss with the per-tenant costs.
+    EXPECT_THROW(ShardedCache(options, nullptr, nullptr),
+                 std::invalid_argument);
+    // The default factory is fine.
+    ShardedCache ok(options, nullptr, &costs);
+    EXPECT_EQ(ok.num_shards(), 2u);
+  }
 }
 
 // The headline determinism guarantee: a single-threaded replay must be
