@@ -13,9 +13,17 @@
 /// per-shard order, hence the server-side books are **bit-identical** to a
 /// direct single-threaded access_batch replay of the same trace — which
 /// --verify (on by default) asserts per tenant: hits, misses, evictions,
-/// and a miss-cost ratio of exactly 1.0. Drift fails the run. The check
-/// compares post-minus-pre STATS deltas, so it also holds against a server
-/// that has already served traffic.
+/// and a miss-cost ratio of exactly 1.0. Drift fails the run. The reference
+/// replay starts from a cold cache, so the check needs a freshly started
+/// server: a warm server's victims depend on the traffic it served before,
+/// and its post-minus-pre STATS deltas drift from the cold replay. With
+/// --connect, e11 therefore exits 1 before sending traffic when the
+/// server's books are not zero.
+///
+/// In-process runs also report how many batches the server's drain helpers
+/// fanned out (`drain_fanouts` of `batches`, with `drain_helpers`). Every
+/// batch of a run with --connections >= 2 holds a single shard, so only a
+/// one-connection run puts several shards' groups into one batch.
 ///
 /// Latency is measured per pipelined window: a window of W requests is
 /// encoded, flushed, and each of its W responses is stamped against the
@@ -93,6 +101,14 @@ struct StageLatency {
   obs::HistogramSnapshot snapshot;
 };
 
+/// The in-process server's batch drain, from its metrics registry.
+struct DrainFanout {
+  bool ran = false;
+  std::uint64_t helpers = 0;
+  std::uint64_t fanouts = 0;  ///< batches drained by the crew
+  std::uint64_t batches = 0;
+};
+
 /// Books delta between two STATS snapshots (post − pre, per tenant).
 server::StatsPayload stats_delta(const server::StatsPayload& pre,
                                  const server::StatsPayload& post) {
@@ -114,7 +130,8 @@ void write_json(const std::string& path, const Cli& cli,
                 const obs::HistogramSnapshot& latency,
                 const WorkerResult& totals, std::uint64_t lockfree_hits,
                 const VerifyResult& verify,
-                const std::vector<StageLatency>& stages) {
+                const std::vector<StageLatency>& stages,
+                const DrainFanout& drain) {
   std::ostringstream os;
   os << "{\n";
   os << "  \"benchmark\": \"e11_server\",\n";
@@ -163,6 +180,10 @@ void write_json(const std::string& path, const Cli& cli,
        << ", \"cost_ratio_vs_direct\": " << verify.cost_ratio
        << ", \"tracker_mismatches\": " << verify.tracker_mismatches
        << ", \"tracker_cost\": " << verify.tracker_cost;
+  if (drain.ran)
+    os << ", \"drain_helpers\": " << drain.helpers
+       << ", \"drain_fanouts\": " << drain.fanouts
+       << ", \"batches\": " << drain.batches;
   // Per-stage request-latency attribution (in-process runs only): one
   // object per ccc_server_stage_latency_ns stage, quantiles in µs so they
   // read next to p50_us/p99_us above. Informational in the regression
@@ -223,7 +244,8 @@ int run(int argc, const char* const* argv) {
             "count and capacity are taken from its STATS response")
       .flag("verify", "1",
             "assert zero drift vs a direct single-threaded access_batch "
-            "replay (post-minus-pre STATS deltas)")
+            "replay from a cold cache (with --connect the server must be "
+            "freshly started; e11 exits 1 if its books are not zero)")
       .flag("rebalance-every", "0",
             "0 = never; N = after every N trace requests, quiesce all "
             "connections at a barrier and have one worker send REBALANCE; "
@@ -295,6 +317,19 @@ int run(int argc, const char* const* argv) {
         "server has " + std::to_string(pre.num_tenants) +
         " tenants, e11 was asked for " + std::to_string(tenants) +
         " — align --tenants with the server");
+  if (verify_books) {
+    std::uint64_t served = 0;
+    for (std::size_t t = 0; t < pre.hits.size(); ++t)
+      served += pre.hits[t] + pre.misses[t];
+    if (served != 0) {
+      std::cerr << "e11_server: --verify 1 needs a freshly started server: "
+                   "this one has already served "
+                << served
+                << " requests, and the reference replay starts from a cold "
+                   "cache (restart ccc-serverd, or pass --verify 0)\n";
+      return 1;
+    }
+  }
   const auto server_shards = static_cast<std::size_t>(pre.num_shards);
   const auto capacity = static_cast<std::size_t>(pre.capacity);
 
@@ -509,6 +544,7 @@ int run(int argc, const char* const* argv) {
 
   // ---- shut down an in-process server gracefully ----
   std::vector<StageLatency> stages;
+  DrainFanout drain;
   if (inproc != nullptr) {
     for (auto& client : clients) client->close();
     inproc->request_stop();
@@ -527,6 +563,16 @@ int run(int argc, const char* const* argv) {
           if (key == "stage")
             stages.push_back(StageLatency{label, sample.snapshot});
     }
+    const auto scalar = [&registry](const char* name) {
+      const obs::MetricFamily* family = registry.find(name);
+      return family == nullptr || family->scalars.empty()
+                 ? std::uint64_t{0}
+                 : static_cast<std::uint64_t>(family->scalars.front().value);
+    };
+    drain.ran = true;
+    drain.helpers = scalar("ccc_server_drain_helpers");
+    drain.fanouts = scalar("ccc_server_drain_fanouts_total");
+    drain.batches = scalar("ccc_server_batches_total");
   }
 
   // ---- report ----
@@ -560,6 +606,10 @@ int run(int argc, const char* const* argv) {
               << ") tracker_mismatches=" << verify.tracker_mismatches
               << " tracker_cost=" << format_compact(verify.tracker_cost)
               << "\n";
+  if (drain.ran)
+    std::cout << "drain: helpers=" << drain.helpers
+              << " fanouts=" << drain.fanouts << " of " << drain.batches
+              << " batches\n";
   if (!stages.empty()) {
     Table stage_table({"stage", "count", "p50_us", "p99_us", "p999_us"});
     for (const StageLatency& stage : stages)
@@ -575,7 +625,7 @@ int run(int argc, const char* const* argv) {
   if (!json_path.empty())
     write_json(json_path, cli, tenants, server_shards, connections, loops,
                rebalances_sent.load(), requests_sent, wall_seconds, latency,
-               totals, delta.lockfree_hits, verify, stages);
+               totals, delta.lockfree_hits, verify, stages, drain);
 
   if (verify.ran && verify.drift != 0) {
     std::cerr << "e11_server: DRIFT — server books diverge from the direct "

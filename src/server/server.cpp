@@ -125,7 +125,8 @@ CacheServer::CacheServer(ServerOptions options,
                          PolicyFactory factory,
                          const std::vector<CostFunctionPtr>* costs)
     : options_(std::move(options)),
-      cache_(cache_options, std::move(factory), costs) {}
+      cache_(cache_options, std::move(factory), costs),
+      crew_(DrainCrew::helpers_for(cache_.num_shards())) {}
 
 CacheServer::~CacheServer() {
   for (auto& conn : connections_)
@@ -417,7 +418,7 @@ void CacheServer::flush_pending_batch(Connection& conn) {
       conn.first_enqueue_ns != 0 && batch_start_ns > conn.first_enqueue_ns
           ? batch_start_ns - conn.first_enqueue_ns
           : 0;
-  cache_.access_batch(std::span<const Request>(conn.pending), events);
+  cache_.access_batch(std::span<const Request>(conn.pending), events, &crew_);
   const std::uint64_t cache_done_ns = now_ns();
   const std::uint64_t cache_ns = cache_done_ns - batch_start_ns;
   batch_latency_ns_hist_.record(cache_ns);
@@ -696,6 +697,14 @@ void CacheServer::fill_metrics(obs::MetricsRegistry& registry) const {
   counter("ccc_server_protocol_errors_total",
           "Framing errors (fatal per connection)", c.protocol_errors);
   counter("ccc_server_batches_total", "access_batch calls", c.batches);
+  counter("ccc_server_drain_fanouts_total",
+          "Batches whose shard groups the drain helpers drained beside the "
+          "loop thread",
+          crew_.jobs());
+  registry.set_gauge("ccc_server_drain_helpers",
+                     "Helper threads that drain shard groups beside the loop "
+                     "thread",
+                     {}, static_cast<double>(crew_.helpers()));
   counter("ccc_server_bytes_read_total", "Bytes read from cache connections",
           c.bytes_read);
   counter("ccc_server_bytes_written_total", "Bytes written to clients",

@@ -11,7 +11,11 @@
 /// The single loop keeps request handling deterministic and the metrics
 /// snapshot race-free; horizontal scale comes from running more shards
 /// inside the cache (and, later, more server processes), not from sharing
-/// connections across threads.
+/// connections across threads. Inside one access_batch call, a DrainCrew
+/// of helper threads may drain the batch's shard groups beside the loop
+/// thread (DrainCrew::helpers_for picks the count from the shard count and
+/// the usable CPUs); the helpers touch only the cache, never a connection
+/// or a counter, and the call returns after every group has finished.
 ///
 /// Batching: each readiness event drains one connection's socket, decodes
 /// every complete frame, and folds the contiguous run of GET/SET requests
@@ -183,6 +187,9 @@ class CacheServer {
 
   ServerOptions options_;
   ShardedCache cache_;
+  /// Declared after cache_: its helpers are joined before the cache they
+  /// drain is destroyed.
+  DrainCrew crew_;
 
   int epoll_fd_ = -1;
   int listen_fd_ = -1;

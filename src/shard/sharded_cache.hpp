@@ -30,8 +30,11 @@
 /// access_batch() groups its requests by shard and takes each shard lock
 /// once per group, amortizing lock traffic; within a batch, per-shard
 /// request order is preserved, so single-threaded replays are deterministic
-/// for any batch size. Aggregation (metrics, costs, stats) locks shards one
-/// at a time — locks are never nested, so the layer cannot deadlock.
+/// for any batch size. Given a DrainCrew, access_batch() may drain one
+/// batch's groups on several threads at once: they touch disjoint shards,
+/// so the books and the batch-order events are those of the serial drain.
+/// Aggregation (metrics, costs, stats) locks shards one at a time — locks
+/// are never nested, so the layer cannot deadlock.
 ///
 /// With `HitPath::kSeqlock` the common case — a hit on a page whose budget
 /// is already current — bypasses the mutex entirely: readers probe a flat
@@ -49,6 +52,7 @@
 #include <vector>
 
 #include "core/convex_caching.hpp"
+#include "shard/drain_crew.hpp"
 #include "shard/seqlock_table.hpp"
 #include "sim/simulator.hpp"
 #include "util/mutex.hpp"
@@ -158,8 +162,17 @@ class ShardedCache {
   /// the outcome of `batch[i]` regardless of how the requests were grouped
   /// across shards. (Events used to come back shard-grouped, which made it
   /// impossible for callers to match an event to its request.)
+  ///
+  /// With a `crew`, the caller and the crew's helpers drain the batch's
+  /// shard groups at once when the batch is worth it: at least two groups
+  /// are non-empty and the previous batch through this crew served at
+  /// least kFanOutMinMisses (sharded_cache.cpp) misses. Otherwise the
+  /// groups drain serially on the caller. Events, books and per-shard
+  /// order are identical either way. A group's exception is rethrown here
+  /// after every other group has finished. One caller per crew at a time.
   void access_batch(std::span<const Request> batch,
-                    std::vector<StepEvent>& events);
+                    std::vector<StepEvent>& events,
+                    DrainCrew* crew = nullptr);
 
   [[nodiscard]] std::size_t shard_of(PageId page) const noexcept;
   [[nodiscard]] std::size_t num_shards() const noexcept {
@@ -278,14 +291,17 @@ class ShardedCache {
   /// viable again. Under kLocked the lock-free probe is off, so the whole
   /// slice is one locked run. Locked runs use probe-ahead prefetching.
   /// `group == nullptr` means the slice is the whole batch; `events` (when
-  /// non-null) receives the outcome of `batch[i]` at `events[i]`.
-  void process_group(Shard& shard, std::span<const Request> batch,
-                     const std::vector<std::size_t>* group,
-                     StepEvent* events);
+  /// non-null) receives the outcome of `batch[i]` at `events[i]`. Returns
+  /// how many of the slice's requests missed.
+  std::size_t process_group(Shard& shard, std::span<const Request> batch,
+                            const std::vector<std::size_t>* group,
+                            StepEvent* events);
   /// Both access_batch overloads: groups `batch` by shard and drains each
-  /// group; `events` (when non-null) receives the outcome of `batch[i]` at
+  /// group, through `crew` when non-null and the fan-out gate opens;
+  /// `events` (when non-null) receives the outcome of `batch[i]` at
   /// `events[i]`.
-  void dispatch(std::span<const Request> batch, StepEvent* events);
+  void dispatch(std::span<const Request> batch, StepEvent* events,
+                DrainCrew* crew);
 
   ShardedCacheOptions options_;
   const std::vector<CostFunctionPtr>* costs_;  ///< non-null, not owned

@@ -3,7 +3,8 @@
 // zero-drift determinism contract vs a direct access_batch replay
 // (DESIGN.md §12), SIGTERM mid-pipeline draining, mid-frame connection
 // drops, oversized-frame isolation, connection limits, fd exhaustion,
-// backpressure, and /metrics exposition under concurrent load.
+// backpressure, /metrics exposition under concurrent load, and idle drain
+// helpers that park instead of spinning.
 #include "server/server.hpp"
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "cost/monomial.hpp"
+#include "obs/registry.hpp"
 #include "server/client.hpp"
 #include "server/protocol.hpp"
 #include "sim/metrics.hpp"
@@ -209,19 +211,22 @@ TEST(Server, WellFramedInvalidRequestsKeepConnectionAlive) {
 
 // --------------------------------------------------------- determinism
 
+/// A server scalar (counter or gauge) from its metrics registry; exact once
+/// the loop has stopped.
+double server_scalar(const server::CacheServer& server, const char* name) {
+  obs::MetricsRegistry registry;
+  server.fill_metrics(registry);
+  const obs::MetricFamily* family = registry.find(name);
+  return family == nullptr || family->scalars.empty()
+             ? -1.0
+             : family->scalars.front().value;
+}
+
 TEST(Server, LoopbackReplayBitIdenticalToDirectBatchReplay) {
   constexpr std::uint32_t kTenants = 4;
   constexpr std::size_t kShards = 4;
   constexpr std::size_t kCapacity = 32;
-  constexpr std::size_t kConnections = 3;
   const Trace trace = zipf_trace(kTenants, 20000, 42);
-
-  // Partition by shard so each shard's subsequence arrives over exactly
-  // one connection — the DESIGN.md §12 determinism precondition.
-  std::vector<std::vector<Request>> partition(kConnections);
-  for (const Request& request : trace.requests())
-    partition[shard_of_page(request.page, kShards) % kConnections].push_back(
-        request);
 
   // Direct single-threaded replay of the same trace — the reference books.
   const auto costs = quadratic_costs(kTenants);
@@ -237,32 +242,55 @@ TEST(Server, LoopbackReplayBitIdenticalToDirectBatchReplay) {
   const Metrics ref_metrics = reference.aggregated_metrics();
 
   // The books are hit-path invariant, so a server on either path must
-  // reproduce the same reference.
-  for (const HitPath path : {HitPath::kSeqlock, HitPath::kLocked}) {
-    SCOPED_TRACE(path == HitPath::kSeqlock ? "seqlock" : "locked");
-    ServerHarness harness({}, kTenants, kShards, kCapacity, path);
-    std::vector<std::thread> workers;
-    for (std::size_t c = 0; c < kConnections; ++c)
-      workers.emplace_back([&, c] {
-        server::BlockingClient client(kLoopback, harness.port());
-        const auto statuses = replay(client, partition[c], 128);
-        EXPECT_EQ(statuses.size(), partition[c].size());
-      });
-    for (std::thread& worker : workers) worker.join();
+  // reproduce the same reference. Three connections put at most two shards
+  // into one batch; one connection carries all four, the widest fan-out
+  // for the server's drain helpers.
+  struct Case {
+    std::size_t connections;
+    std::size_t window;
+  };
+  for (const Case& c : {Case{3, 128}, Case{1, 256}}) {
+    for (const HitPath path : {HitPath::kSeqlock, HitPath::kLocked}) {
+      SCOPED_TRACE(testing::Message()
+                   << (path == HitPath::kSeqlock ? "seqlock" : "locked")
+                   << " connections=" << c.connections);
+      // Partition by shard so each shard's subsequence arrives over exactly
+      // one connection — the DESIGN.md §12 determinism precondition.
+      std::vector<std::vector<Request>> partition(c.connections);
+      for (const Request& request : trace.requests())
+        partition[shard_of_page(request.page, kShards) % c.connections]
+            .push_back(request);
+      ServerHarness harness({}, kTenants, kShards, kCapacity, path);
+      std::vector<std::thread> workers;
+      for (std::size_t w = 0; w < c.connections; ++w)
+        workers.emplace_back([&, w] {
+          server::BlockingClient client(kLoopback, harness.port());
+          const auto statuses = replay(client, partition[w], c.window);
+          EXPECT_EQ(statuses.size(), partition[w].size());
+        });
+      for (std::thread& worker : workers) worker.join();
 
-    server::BlockingClient probe(kLoopback, harness.port());
-    const server::StatsPayload stats = probe.stats();
-    for (TenantId t = 0; t < kTenants; ++t) {
-      EXPECT_EQ(stats.hits[t], ref_metrics.hits(t)) << "tenant " << t;
-      EXPECT_EQ(stats.misses[t], ref_metrics.misses(t)) << "tenant " << t;
-      EXPECT_EQ(stats.evictions[t], ref_metrics.evictions(t))
-          << "tenant " << t;
+      server::BlockingClient probe(kLoopback, harness.port());
+      const server::StatsPayload stats = probe.stats();
+      for (TenantId t = 0; t < kTenants; ++t) {
+        EXPECT_EQ(stats.hits[t], ref_metrics.hits(t)) << "tenant " << t;
+        EXPECT_EQ(stats.misses[t], ref_metrics.misses(t)) << "tenant " << t;
+        EXPECT_EQ(stats.evictions[t], ref_metrics.evictions(t))
+            << "tenant " << t;
+      }
+      const double server_cost = total_cost(stats.misses, costs);
+      const double reference_cost =
+          total_cost(ref_metrics.miss_vector(), costs);
+      // Cost ratio exactly 1.00.
+      EXPECT_DOUBLE_EQ(server_cost, reference_cost);
+      EXPECT_EQ(harness.stop(), 0);
+      if (c.connections == 1 &&
+          server_scalar(*harness.server, "ccc_server_drain_helpers") > 0) {
+        EXPECT_GT(
+            server_scalar(*harness.server, "ccc_server_drain_fanouts_total"),
+            0);
+      }
     }
-    const double server_cost = total_cost(stats.misses, costs);
-    const double reference_cost =
-        total_cost(ref_metrics.miss_vector(), costs);
-    EXPECT_DOUBLE_EQ(server_cost, reference_cost);  // cost ratio exactly 1.00
-    EXPECT_EQ(harness.stop(), 0);
   }
 }
 
@@ -517,6 +545,39 @@ TEST(Server, FdExhaustionShedsPendingConnectionsWithoutSpinning) {
   EXPECT_EQ(harness.server->counters().connections_accepted,
             1 + kPeers - shed);
   for (const int fd : peers) ::close(fd);
+}
+
+/// CPU seconds this whole process has consumed so far.
+double process_cpu_seconds() {
+  timespec ts{};
+  EXPECT_EQ(::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts), 0);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+// The drain helpers spin only briefly after a batch: once traffic stops
+// they park, and an idle daemon burns no CPU. The burst is churn-shaped
+// (16 tenants × 64 pages, k = 8 per tenant, 4 shards, one connection), so
+// its batches fan out wherever this host gives the server helpers.
+TEST(Server, IdleDrainHelpersParkWithoutSpinning) {
+  constexpr std::uint32_t kTenants = 16;
+  ServerHarness harness({}, kTenants, 4, 8 * kTenants);
+  {
+    server::BlockingClient client(kLoopback, harness.port());
+    const Trace trace = zipf_trace(kTenants, 20000, 5);
+    EXPECT_EQ(replay(client, trace.requests(), 256).size(), trace.size());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const double cpu_before = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(process_cpu_seconds() - cpu_before, 0.1);
+
+  EXPECT_EQ(harness.stop(), 0);
+  if (server_scalar(*harness.server, "ccc_server_drain_helpers") > 0) {
+    EXPECT_GT(
+        server_scalar(*harness.server, "ccc_server_drain_fanouts_total"), 0);
+  }
 }
 
 TEST(Server, BackpressurePausesReadsAndStillAnswersEverything) {

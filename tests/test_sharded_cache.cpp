@@ -1,14 +1,19 @@
 // Tests for the sharded concurrent frontend (src/shard): capacity
 // splitters, the hash partition, the 1-shard differential guarantee
 // (byte-identical to a bare SimulatorSession), batch/thread determinism,
-// the miss-rate rebalancer, and a TSan-targeted concurrent stress run.
+// the miss-rate rebalancer, a TSan-targeted concurrent stress run, and the
+// DrainCrew batch drain (event-for-event equal to the serial drain).
 #include "shard/sharded_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -33,13 +38,18 @@ Trace zipf_trace(std::uint32_t tenants, std::uint64_t pages_per_tenant,
   return generate_trace(std::move(workloads), length, rng);
 }
 
-std::vector<CostFunctionPtr> quadratic_costs(std::uint32_t tenants) {
+std::vector<CostFunctionPtr> monomial_costs(std::uint32_t tenants,
+                                            double exponent) {
   std::vector<CostFunctionPtr> costs;
   costs.reserve(tenants);
   for (std::uint32_t t = 0; t < tenants; ++t)
-    costs.push_back(
-        std::make_unique<MonomialCost>(2.0, 1.0 + static_cast<double>(t % 3)));
+    costs.push_back(std::make_unique<MonomialCost>(
+        exponent, 1.0 + static_cast<double>(t % 3)));
   return costs;
+}
+
+std::vector<CostFunctionPtr> quadratic_costs(std::uint32_t tenants) {
+  return monomial_costs(tenants, 2.0);
 }
 
 ShardedCacheOptions options_for(std::size_t capacity, std::size_t shards,
@@ -741,6 +751,165 @@ TEST(ShardedCacheSeqlock, ConcurrentStressWithRebalanceIsRaceFreeAndConserving) 
   EXPECT_EQ(perf.requests, writers * requests_per_writer);
   const auto caps = cache.capacities();
   EXPECT_EQ(std::accumulate(caps.begin(), caps.end(), std::size_t{0}), 64u);
+}
+
+// -------------------------------------------------------------- drain crew
+
+// The daemon's default shape: 16 tenants × 64 pages, k = 8 per tenant, 4
+// shards, 256-request batches.
+constexpr std::uint32_t kCrewTenants = 16;
+constexpr std::size_t kCrewCapacity = 8 * kCrewTenants;
+constexpr std::size_t kCrewShards = 4;
+constexpr std::size_t kCrewBatch = 256;
+constexpr std::size_t kCrewPhaseBatches = 40;
+
+/// Churn, then a serving-shaped stretch, then churn again. The serving
+/// stretch asks for 4 pages per tenant, which fit: once they are resident
+/// it stops missing, and the fan-out gate closes until churn returns.
+std::vector<std::vector<Request>> churn_serving_churn() {
+  constexpr std::size_t kPhase = kCrewPhaseBatches * kCrewBatch;
+  return {zipf_trace(kCrewTenants, 64, kPhase, 101).requests(),
+          zipf_trace(kCrewTenants, 4, kPhase, 102).requests(),
+          zipf_trace(kCrewTenants, 64, kPhase, 103).requests()};
+}
+
+struct DrainRun {
+  std::vector<StepEvent> events;
+  Metrics metrics{1};
+  double miss_cost = 0.0;
+  std::vector<std::uint64_t> jobs;  ///< crew jobs at the end of each phase
+};
+
+/// Replays `phases` in kCrewBatch-request batches through the crew
+/// overload with `helpers` helpers, or through the serial overload.
+DrainRun drain_run(const std::vector<std::vector<Request>>& phases,
+                   const std::vector<CostFunctionPtr>& costs, HitPath path,
+                   std::size_t helpers, bool serial) {
+  auto options = options_for(kCrewCapacity, kCrewShards, kCrewTenants);
+  options.hit_path = path;
+  ShardedCache cache(options, nullptr, &costs);
+  DrainCrew crew(helpers);
+  DrainRun run;
+  for (const std::vector<Request>& phase : phases) {
+    for (std::size_t i = 0; i < phase.size(); i += kCrewBatch) {
+      const std::span<const Request> batch(
+          phase.data() + i, std::min(kCrewBatch, phase.size() - i));
+      cache.access_batch(batch, run.events, serial ? nullptr : &crew);
+    }
+    run.jobs.push_back(crew.jobs());
+  }
+  run.metrics = cache.aggregated_metrics();
+  run.miss_cost = cache.global_miss_cost();
+  return run;
+}
+
+TEST(DrainCrew, FannedOutDrainMatchesSerialDrainEventForEvent) {
+  const auto phases = churn_serving_churn();
+  for (const double exponent : {2.0, 1.0}) {
+    const auto costs = monomial_costs(kCrewTenants, exponent);
+    for (const HitPath path : {HitPath::kSeqlock, HitPath::kLocked}) {
+      const DrainRun serial = drain_run(phases, costs, path, 0, true);
+      for (const std::size_t helpers : {1u, 2u, 3u}) {
+        SCOPED_TRACE(testing::Message()
+                     << "x^" << exponent << " "
+                     << (path == HitPath::kSeqlock ? "seqlock" : "locked")
+                     << " helpers=" << helpers);
+        const DrainRun crew = drain_run(phases, costs, path, helpers, false);
+        ASSERT_EQ(crew.events.size(), serial.events.size());
+        for (std::size_t i = 0; i < crew.events.size(); ++i) {
+          ASSERT_EQ(crew.events[i].request, serial.events[i].request) << i;
+          ASSERT_EQ(crew.events[i].hit, serial.events[i].hit) << i;
+          ASSERT_EQ(crew.events[i].victim, serial.events[i].victim) << i;
+          ASSERT_EQ(crew.events[i].victim_owner,
+                    serial.events[i].victim_owner)
+              << i;
+        }
+        for (TenantId t = 0; t < kCrewTenants; ++t) {
+          EXPECT_EQ(crew.metrics.hits(t), serial.metrics.hits(t));
+          EXPECT_EQ(crew.metrics.misses(t), serial.metrics.misses(t));
+          EXPECT_EQ(crew.metrics.evictions(t), serial.metrics.evictions(t));
+        }
+        EXPECT_EQ(crew.miss_cost, serial.miss_cost);
+
+        // Churn fans out; on both hit paths the serving stretch closes the
+        // gate (it stops missing, though under kLocked its hits still take
+        // the locks) and churn reopens it.
+        const std::uint64_t serving = crew.jobs[1] - crew.jobs[0];
+        const std::uint64_t churn_again = crew.jobs[2] - crew.jobs[1];
+        EXPECT_GT(crew.jobs[0], kCrewPhaseBatches / 2);
+        EXPECT_LT(serving, kCrewPhaseBatches / 4);
+        EXPECT_GT(churn_again, kCrewPhaseBatches / 2);
+      }
+    }
+  }
+}
+
+// A group's exception surfaces on the caller as the exception it was, after
+// the batch's other groups finish; the crew then drains the next batch.
+TEST(DrainCrew, GroupExceptionReachesCallerAndCrewDrainsNextBatch) {
+  const auto costs = quadratic_costs(kCrewTenants);
+  ShardedCache cache(options_for(kCrewCapacity, kCrewShards, kCrewTenants),
+                     nullptr, &costs);
+  DrainCrew crew(2);
+  std::vector<StepEvent> events;
+  // A cold cache misses on every first touch of a page, so the gate opens
+  // for the next batch.
+  cache.access_batch(zipf_trace(kCrewTenants, 64, kCrewBatch, 7).requests(),
+                     events, &crew);
+  std::vector<Request> poisoned =
+      zipf_trace(kCrewTenants, 64, kCrewBatch, 8).requests();
+  poisoned[200] = Request{0, ~PageId{0}};  // FlatMap's reserved key
+  const std::uint64_t jobs = crew.jobs();
+  EXPECT_THROW(cache.access_batch(poisoned, events, &crew),
+               std::invalid_argument);
+  EXPECT_EQ(crew.jobs(), jobs + 1) << "the poisoned batch was not fanned out";
+
+  const Metrics before = cache.aggregated_metrics();
+  const std::uint64_t requests_before = cache.aggregated_perf().requests;
+  cache.access_batch(zipf_trace(kCrewTenants, 64, kCrewBatch, 9).requests(),
+                     events, &crew);
+  EXPECT_EQ(crew.jobs(), jobs + 2);
+  const Metrics after = cache.aggregated_metrics();
+  EXPECT_EQ(after.total_hits() + after.total_misses(),
+            before.total_hits() + before.total_misses() + kCrewBatch);
+  EXPECT_EQ(cache.aggregated_perf().requests, requests_before + kCrewBatch);
+}
+
+// Every task runs exactly once, a crew whose helpers have parked wakes them
+// for the next job, and destroying a parked crew returns promptly.
+TEST(DrainCrew, ParkedHelpersWakeForJobsAndJoinPromptly) {
+  constexpr std::size_t kTasks = 8;
+  auto crew = std::make_unique<DrainCrew>(3);
+  for (int round = 0; round < 2; ++round) {
+    // Far past the spin budget: every helper has parked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::vector<std::atomic<int>> runs(kTasks);
+    std::mutex mutex;
+    std::set<std::thread::id> threads;
+    auto task = [&](std::size_t i) {
+      // Relaxed: the crew's completion handshake orders it before the
+      // checks below.
+      runs[i].fetch_add(1, std::memory_order_relaxed);
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        threads.insert(std::this_thread::get_id());
+      }
+      // Long enough that a woken helper claims a task before the caller
+      // has run them all.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    };
+    crew->run(kTasks, task);
+    for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(runs[i].load(), 1);
+    EXPECT_GE(threads.size(), 2u) << "no helper woke for round " << round;
+  }
+  EXPECT_EQ(crew->jobs(), 2u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  crew.reset();
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            0.5);
 }
 
 }  // namespace
