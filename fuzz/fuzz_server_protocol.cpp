@@ -15,11 +15,17 @@
 /// every emitted frame and on the raw input, and must reject garbage with
 /// nullopt, never an exception.
 ///
-/// Build modes (see fuzz/CMakeLists.txt, gated behind CCC_FUZZ):
-///  - Clang: a real libFuzzer binary (CCC_FUZZ_LIBFUZZER suppresses the
-///    standalone main).
-///  - Any other compiler: a standalone corpus runner for the ctest smoke
-///    test and for reproducing crashes under gdb.
+/// The decoder has two paths: frames wholly inside one feed are decoded in
+/// place, and a frame split across feeds is completed in its buffer. The
+/// one-piece run takes only the first; a chunking that splits frames
+/// mid-header and mid-body (corpus seed split_mid_header_and_body.bin)
+/// takes both, and must agree with it.
+///
+/// Build modes (see fuzz/CMakeLists.txt):
+///  - -DCCC_FUZZ=ON under Clang: a real libFuzzer binary
+///    (CCC_FUZZ_LIBFUZZER suppresses the standalone main).
+///  - Every other build: a standalone corpus runner for the ctest corpus
+///    replay and for reproducing crashes under gdb.
 
 #include <algorithm>
 #include <cstddef>
@@ -43,8 +49,8 @@ struct Emitted {
 };
 
 /// Feeds `stream` to a fresh decoder in chunks drawn from `chunker`
-/// (cycling; 0 → 1 byte), recording every emitted frame and the final
-/// error state.
+/// (cycling; 0 → 1 byte; an empty `chunker` feeds the stream in one
+/// piece), recording every emitted frame and the final error state.
 std::pair<std::vector<Emitted>, ccc::server::DecodeError> run_decoder(
     std::span<const std::uint8_t> stream,
     std::span<const std::uint8_t> chunker, std::size_t max_body) {
@@ -63,7 +69,7 @@ std::pair<std::vector<Emitted>, ccc::server::DecodeError> run_decoder(
   std::size_t offset = 0;
   std::size_t which = 0;
   while (offset < stream.size()) {
-    std::size_t chunk = 1;
+    std::size_t chunk = stream.size();
     if (!chunker.empty()) {
       chunk = std::max<std::size_t>(1, chunker[which % chunker.size()]);
       ++which;

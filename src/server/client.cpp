@@ -63,7 +63,9 @@ void write_all(int fd, const char* data, std::size_t size) {
 
 BlockingClient::BlockingClient(const std::string& address, std::uint16_t port,
                                std::size_t max_response_body)
-    : fd_(connect_blocking(address, port)), decoder_(max_response_body) {}
+    : fd_(connect_blocking(address, port)),
+      decoder_(max_response_body),
+      in_(std::size_t{64} << 10) {}
 
 BlockingClient::~BlockingClient() { close(); }
 
@@ -94,9 +96,8 @@ void BlockingClient::flush() {
 void BlockingClient::read_responses(
     std::size_t count, const std::function<void(const ResponseMsg&)>& sink) {
   std::size_t delivered = 0;
-  std::vector<char> chunk(std::size_t{64} << 10);
   while (delivered < count) {
-    const ssize_t n = ::read(fd_, chunk.data(), chunk.size());
+    const ssize_t n = ::read(fd_, in_.data(), in_.size());
     if (n == 0) throw std::runtime_error("server closed the connection");
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -105,7 +106,7 @@ void BlockingClient::read_responses(
       throw_errno("read");
     }
     const DecodeError err = decoder_.feed(
-        std::string_view(chunk.data(), static_cast<std::size_t>(n)),
+        std::string_view(in_.data(), static_cast<std::size_t>(n)),
         [&](const FrameView& frame) {
           const std::optional<ResponseMsg> msg = parse_response(frame);
           if (!msg.has_value())

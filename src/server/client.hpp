@@ -14,6 +14,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "server/protocol.hpp"
 
@@ -79,6 +80,7 @@ class BlockingClient {
   int fd_ = -1;
   std::string out_;
   FrameDecoder decoder_;
+  std::vector<char> in_;  ///< receive buffer, kept across read_responses
 };
 
 /// One-shot HTTP/1.1 GET: connects, requests `target`, reads to EOF and

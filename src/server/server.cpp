@@ -287,8 +287,11 @@ bool CacheServer::shed_pending_connection(int listener_fd) {
 }
 
 void CacheServer::handle_readable(Connection& conn) {
-  // Read until EAGAIN, with a per-event byte cap so one firehose
-  // connection cannot starve the rest (level-triggered epoll re-notifies).
+  // Read until the socket is empty, with a per-event byte cap so one
+  // firehose connection cannot starve the rest. A short read means the
+  // socket is empty, so it ends the drain without a read() that returns
+  // EAGAIN; bytes that arrive after it make level-triggered epoll report
+  // the connection again.
   const std::size_t read_cap = kReadChunk * 16;
   std::size_t read_total = 0;
   static thread_local std::vector<char> chunk;
@@ -316,6 +319,7 @@ void CacheServer::handle_readable(Connection& conn) {
       handle_metrics_bytes(conn, bytes);
     else
       handle_cache_bytes(conn, bytes);
+    if (bytes.size() < chunk.size()) break;
   }
   if (!conn.closed) {
     flush_pending_batch(conn);
@@ -426,13 +430,11 @@ void CacheServer::flush_pending_batch(Connection& conn) {
   ++counters_.batches;
   counters_.requests += conn.pending.size();
   conn.requests_served += conn.pending.size();
-  for (std::size_t i = 0; i < events.size(); ++i) {
+  append_responses(conn.out, events.size(), [&conn](std::size_t i) {
     if (static_cast<Opcode>(conn.pending_ops[i]) == Opcode::kSet)
-      append_response(conn.out, Status::kOk);
-    else
-      append_response(conn.out,
-                      events[i].hit ? Status::kHit : Status::kMiss);
-  }
+      return Status::kOk;
+    return events[i].hit ? Status::kHit : Status::kMiss;
+  });
   const std::uint64_t encode_done_ns = now_ns();
   const std::uint64_t encode_ns = encode_done_ns - cache_done_ns;
   stage_queue_ns_hist_.record(queue_ns);

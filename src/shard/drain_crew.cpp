@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "util/check.hpp"
@@ -51,6 +52,16 @@ void cpu_relax() noexcept {
 #endif
 }
 
+/// True when the comma-separated `list` has `name` as one of its entries.
+bool lists(std::string_view list, std::string_view name) {
+  while (true) {
+    const std::size_t comma = list.find(',');
+    if (list.substr(0, comma) == name) return true;
+    if (comma == std::string_view::npos) return false;
+    list.remove_prefix(comma + 1);
+  }
+}
+
 /// CPUs a cgroup CPU quota leaves this process, rounded down (at least 1),
 /// or 0 when no quota applies. Reads cgroup v2's cpu.max, or v1's
 /// cpu.cfs_quota_us / cpu.cfs_period_us, in the cgroup /proc/self/cgroup
@@ -72,10 +83,10 @@ std::size_t quota_cpus() {
     const std::size_t first = line.find(':');
     const std::size_t second = line.find(':', first + 1);
     if (second == std::string::npos) continue;
-    const std::string controllers =
-        "," + line.substr(first + 1, second - first - 1) + ",";
-    const bool v2 = controllers == ",,";
-    if (!v2 && controllers.find(",cpu,") == std::string::npos) continue;
+    const std::string_view controllers =
+        std::string_view(line).substr(first + 1, second - first - 1);
+    const bool v2 = controllers.empty();
+    if (!v2 && !lists(controllers, "cpu")) continue;
     const std::string root = v2 ? "/sys/fs/cgroup" : "/sys/fs/cgroup/cpu";
     for (std::string path = line.substr(second + 1);;) {
       const std::string dir = root + path + "/";

@@ -1,12 +1,15 @@
-// Tests for the cache-server wire codec (src/server/protocol): frame
-// round-trips, pipelined and byte-at-a-time reassembly, the full framing
-// error taxonomy (each one poisoning the decoder permanently), body-layout
+// Tests for the cache-server wire codec (src/server/protocol): the exact
+// wire bytes, frame round-trips, pipelined and byte-at-a-time reassembly
+// (both the in-place and the buffered decode path), the full framing error
+// taxonomy (each one poisoning the decoder permanently), body-layout
 // parsing, and the STATS payload serialization.
 #include "server/protocol.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -32,6 +35,101 @@ void patch_u32(std::string& frame, std::size_t offset, std::uint32_t value) {
   for (int i = 0; i < 4; ++i)
     frame[offset + static_cast<std::size_t>(i)] =
         static_cast<char>((value >> (8 * i)) & 0xFF);
+}
+
+// A request frame prefixed to a bad one in the error tests below.
+std::string good_frame() {
+  std::string wire;
+  append_request(wire, Opcode::kGet, 3, make_page(3, 77));
+  return wire;
+}
+
+std::string bytes_of(std::initializer_list<unsigned char> bytes) {
+  return std::string(bytes.begin(), bytes.end());
+}
+
+// Feeds `wire` in two pieces cut at `cut` (0: in one piece), then one more
+// valid frame. Returns the pages decoded and the final error, and fails if
+// the sink runs after the decoder reported an error.
+std::pair<std::vector<PageId>, DecodeError> decode_cut(std::string_view wire,
+                                                       std::size_t cut) {
+  FrameDecoder decoder(kRequestBodyBytes);
+  std::vector<PageId> pages;
+  bool poisoned = false;
+  const auto sink = [&](const FrameView& frame) {
+    EXPECT_FALSE(poisoned) << "sink after poison, cut=" << cut;
+    pages.push_back(parse_request(frame)->page);
+  };
+  DecodeError err = DecodeError::kNone;
+  for (const std::string_view piece : {wire.substr(0, cut), wire.substr(cut)}) {
+    err = decoder.feed(piece, sink);
+    poisoned = err != DecodeError::kNone;
+  }
+  const std::string extra = good_frame();
+  const DecodeError after = decoder.feed(extra, sink);
+  if (err != DecodeError::kNone) {
+    EXPECT_EQ(after, err) << "cut=" << cut;
+  }
+  return {pages, err};
+}
+
+// `good_frame() + bad` must end in `expect` after exactly the good frame,
+// whether fed whole or cut anywhere — so that the bad frame arrives after
+// a buffered partial frame, or is itself completed in the buffer.
+void expect_error_after_any_cut(const std::string& bad, DecodeError expect) {
+  const std::string wire = good_frame() + bad;
+  const auto whole = decode_cut(wire, 0);
+  ASSERT_EQ(whole.second, expect);
+  ASSERT_EQ(whole.first, std::vector<PageId>{make_page(3, 77)});
+  for (std::size_t cut = 1; cut < wire.size(); ++cut) {
+    const auto split = decode_cut(wire, cut);
+    EXPECT_EQ(split.second, whole.second) << "cut=" << cut;
+    EXPECT_EQ(split.first, whole.first) << "cut=" << cut;
+  }
+}
+
+TEST(ServerProtocol, WireBytesArePinned) {
+  // Recorded from the byte-at-a-time encoder this codec replaced: a slip in
+  // byte order or offset made the same way on both ends would survive every
+  // round trip, but not these.
+  std::string get;
+  append_request(get, Opcode::kGet, 7, make_page(7, 1234));
+  EXPECT_EQ(get, bytes_of({0x14, 0x00, 0x00, 0x00, 0x43, 0x43, 0x50, 0x31,
+                           0x01, 0x01, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+                           0xd2, 0x04, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00}));
+
+  const std::vector<std::uint8_t> tail = {1, 2, 3, 4, 5};
+  std::string hit;
+  append_response(hit, Status::kHit, 42, std::span<const std::uint8_t>(tail));
+  EXPECT_EQ(hit, bytes_of({0x15, 0x00, 0x00, 0x00, 0x43, 0x43, 0x50, 0x31,
+                           0x01, 0x00, 0x00, 0x00, 0x2a, 0x00, 0x00, 0x00,
+                           0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0x04,
+                           0x05}));
+
+  std::string miss;
+  append_response(miss, Status::kMiss);
+  EXPECT_EQ(miss, bytes_of({0x10, 0x00, 0x00, 0x00, 0x43, 0x43, 0x50, 0x31,
+                            0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                            0x00, 0x00, 0x00, 0x00}));
+}
+
+TEST(ServerProtocol, BatchEncoderMatchesPerResponseEncoding) {
+  const std::vector<Status> statuses = {Status::kHit, Status::kMiss,
+                                        Status::kOk,  Status::kMiss,
+                                        Status::kHit, Status::kOk};
+  std::string expected = "prefix";
+  for (const Status status : statuses) append_response(expected, status);
+
+  std::string batch = "prefix";
+  append_responses(batch, statuses.size(),
+                   [&](std::size_t i) { return statuses[i]; });
+  EXPECT_EQ(batch, expected);
+  EXPECT_EQ(batch.size(),
+            std::string("prefix").size() +
+                statuses.size() * kResponseFrameBytes);
+
+  append_responses(batch, 0, [](std::size_t) { return Status::kHit; });
+  EXPECT_EQ(batch, expected);
 }
 
 TEST(ServerProtocol, RequestRoundTrip) {
@@ -90,6 +188,46 @@ TEST(ServerProtocol, ReassemblesAcrossArbitraryChunkBoundaries) {
     for (std::uint64_t i = 0; i < 20; ++i)
       EXPECT_EQ(msgs[i].page, make_page(1, i));
   }
+
+  // A response stream: bodies of varying size, so frames straddle chunk
+  // boundaries at every offset of header, value and tail.
+  const auto status_of = [](std::size_t i) {
+    return i % 3 == 0 ? Status::kHit : Status::kMiss;
+  };
+  std::string responses;
+  std::vector<std::vector<std::uint8_t>> tails;
+  for (std::size_t i = 0; i < 20; ++i) {
+    tails.emplace_back(i * 5 % 23, static_cast<std::uint8_t>(i));
+    append_response(responses, status_of(i), i * 1000,
+                    std::span<const std::uint8_t>(tails.back()));
+  }
+  const std::size_t longest = kResponseFrameBytes + 22;
+  for (std::size_t chunk = 1; chunk <= 2 * longest + 3; ++chunk) {
+    FrameDecoder decoder(64);
+    std::size_t seen = 0;
+    for (std::size_t off = 0; off < responses.size(); off += chunk) {
+      const auto piece = std::string_view(responses).substr(
+          off, std::min(chunk, responses.size() - off));
+      ASSERT_EQ(decoder.feed(piece,
+                             [&](const FrameView& frame) {
+                               const auto msg = parse_response(frame);
+                               ASSERT_TRUE(msg.has_value());
+                               ASSERT_LT(seen, tails.size());
+                               const std::size_t i = seen++;
+                               EXPECT_EQ(msg->status,
+                                         static_cast<std::uint8_t>(
+                                             status_of(i)));
+                               EXPECT_EQ(msg->value, i * 1000);
+                               EXPECT_TRUE(std::equal(
+                                   msg->tail.begin(), msg->tail.end(),
+                                   tails[i].begin(), tails[i].end()))
+                                   << "chunk=" << chunk << " i=" << i;
+                             }),
+                DecodeError::kNone);
+    }
+    EXPECT_EQ(seen, 20u) << "chunk=" << chunk;
+    EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  }
 }
 
 TEST(ServerProtocol, BadMagicPoisonsPermanently) {
@@ -108,6 +246,8 @@ TEST(ServerProtocol, BadMagicPoisonsPermanently) {
   const DecodeError err = decoder.feed(
       good, [](const FrameView&) { FAIL() << "sink after poison"; });
   EXPECT_EQ(err, DecodeError::kBadMagic);
+
+  expect_error_after_any_cut(wire, DecodeError::kBadMagic);
 }
 
 TEST(ServerProtocol, BadVersionAndReservedAreRejected) {
@@ -117,6 +257,7 @@ TEST(ServerProtocol, BadVersionAndReservedAreRejected) {
     wire[8] = 99;  // version byte
     FrameDecoder decoder(kRequestBodyBytes);
     decode_all(decoder, wire, DecodeError::kBadVersion);
+    expect_error_after_any_cut(wire, DecodeError::kBadVersion);
   }
   {
     std::string wire;
@@ -124,6 +265,7 @@ TEST(ServerProtocol, BadVersionAndReservedAreRejected) {
     wire[10] = 1;  // reserved lo byte
     FrameDecoder decoder(kRequestBodyBytes);
     decode_all(decoder, wire, DecodeError::kBadReserved);
+    expect_error_after_any_cut(wire, DecodeError::kBadReserved);
   }
 }
 
@@ -133,6 +275,7 @@ TEST(ServerProtocol, UndersizedLengthIsBadLength) {
   patch_u32(wire, 0, static_cast<std::uint32_t>(kFramePrefixBytes - 1));
   FrameDecoder decoder(kRequestBodyBytes);
   decode_all(decoder, wire, DecodeError::kBadLength);
+  expect_error_after_any_cut(wire, DecodeError::kBadLength);
 }
 
 TEST(ServerProtocol, OversizedLengthRejectedBeforeBodyArrives) {
