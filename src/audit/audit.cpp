@@ -154,12 +154,10 @@ void ConvexCachingAuditor::check_budget_bounds(
       continue;
     }
     // Recomputed from m(i), not read from the policy's marginal cache.
-    const CostFunction& f = *(*costs_)[node.tenant];
-    const double m = static_cast<double>(policy.evictions_[node.tenant]);
     const double marginal =
-        policy.options_.derivative == DerivativeMode::kAnalytic
-            ? f.derivative(m + 1.0)
-            : f.value(m + 1.0) - f.value(m);
+        next_miss_marginal(*(*costs_)[node.tenant],
+                           policy.evictions_[node.tenant],
+                           policy.options_.derivative);
     if (eff > marginal + tol)
       violation("budget-bounds",
                 "B(" + page_str(page) + ") = " + std::to_string(eff) +

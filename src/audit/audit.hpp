@@ -14,7 +14,8 @@
 ///  2. **Dual non-negativity** — invariant (1c): the dual `y_t` rises by
 ///     exactly B(victim) per eviction, so B(victim) ≥ 0 (convex costs).
 ///  3. **Budget bounds** — the discrete analogue of invariants (2a)/(3a):
-///     for every resident page, 0 ≤ B(p) ≤ f'_{i(p)}(m(i(p))+1). The lower
+///     for every resident page, 0 ≤ B(p) ≤ f'_{i(p)}(m(i(p))+1), the
+///     policy mode's `next_miss_marginal` (convex_caching.hpp). The lower
 ///     bound is (3a) (a resident interval has non-negative gradient slack,
 ///     z = 0); the upper bound holds because B(p) starts at the marginal
 ///     and each eviction moves it down by B(victim) ≥ 0 relative to the

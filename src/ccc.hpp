@@ -54,7 +54,6 @@
 #include "policies/belady.hpp"
 #include "policies/clock.hpp"
 #include "policies/fifo.hpp"
-#include "policies/landlord.hpp"
 #include "policies/lfu.hpp"
 #include "policies/lru.hpp"
 #include "policies/lru_k.hpp"

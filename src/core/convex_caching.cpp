@@ -12,14 +12,6 @@ namespace ccc {
 
 namespace {
 
-/// Marginal cost of the (m+1)-st miss of a tenant with cost function f.
-double marginal_at(const CostFunction& f, std::uint64_t m,
-                   DerivativeMode mode) {
-  const double x = static_cast<double>(m);
-  if (mode == DerivativeMode::kAnalytic) return f.derivative(x + 1.0);
-  return f.value(x + 1.0) - f.value(x);
-}
-
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 }  // namespace
@@ -69,8 +61,8 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
 }
 
 void ConvexCachingPolicy::cache_marginal(TenantId tenant) {
-  const double marginal = marginal_at(*(*costs_)[tenant], evictions_[tenant],
-                                      options_.derivative);
+  const double marginal = next_miss_marginal(
+      *(*costs_)[tenant], evictions_[tenant], options_.derivative);
   CCC_CHECK(std::isfinite(marginal),
             "ConvexCaching: the marginal cost of tenant " +
                 std::to_string(tenant) + "'s next miss is " +
@@ -307,7 +299,9 @@ double ConvexCachingPolicy::budget(PageId page) const {
 }
 
 std::string ConvexCachingPolicy::name() const {
-  std::string n = "ConvexCaching";
+  std::string n = options_.derivative == DerivativeMode::kFirstMarginal
+                      ? "Landlord"
+                      : "ConvexCaching";
   if (options_.derivative == DerivativeMode::kDiscreteMarginal)
     n += "[discrete]";
   if (!options_.debit_survivors) n += "[no-debit]";

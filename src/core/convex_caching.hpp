@@ -45,6 +45,11 @@
 /// even discontinuous — cost functions (no guarantee, but a working
 /// algorithm; experiment E5). A non-convex cost can *shrink* a tenant's
 /// bump; that moves the tenant's leaf but never the order inside its heap.
+///
+/// With `DerivativeMode::kFirstMarginal` every marginal is pinned at
+/// f'(1), so every bump is zero and Fig. 3 is Young's Landlord / GreedyDual
+/// with credit f'_i(1): weighted caching for linear costs, a static
+/// linearization of convex ones (`make_policy("landlord")`).
 
 #include <cstdint>
 #include <vector>
@@ -58,7 +63,29 @@ namespace ccc {
 enum class DerivativeMode {
   kAnalytic,          ///< f'(m+1), as written in Fig. 3
   kDiscreteMarginal,  ///< f(m+1) − f(m), the §2.5 generalization
+  kFirstMarginal,     ///< f'(1) at every m: Landlord with credit f'(1)
 };
+
+/// Credit of a tenant whose f'(1) ≤ 0 under kFirstMarginal (an SLA below
+/// its knee). Evicting a zero-credit page leaves the survivor debit where
+/// it is, so such pages tie and go by page id; a tiny positive credit
+/// advances the debit on each of their evictions, so they age by recency.
+inline constexpr double kFirstMarginalFloor = 1e-12;
+
+/// Marginal cost of the (m+1)-st miss of a tenant with cost f under `mode`
+/// — the one definition the indexed policy, the naive transcription and
+/// the auditor share. A NaN f'(1) passes the floor unchanged, so callers'
+/// finiteness checks still see it.
+[[nodiscard]] inline double next_miss_marginal(const CostFunction& f,
+                                               std::uint64_t m,
+                                               DerivativeMode mode) {
+  const double x = static_cast<double>(m);
+  if (mode == DerivativeMode::kAnalytic) return f.derivative(x + 1.0);
+  if (mode == DerivativeMode::kDiscreteMarginal)
+    return f.value(x + 1.0) - f.value(x);
+  const double first = f.derivative(1.0);
+  return first <= 0.0 ? kFirstMarginalFloor : first;
+}
 
 /// Ablation switches for experiment E5. Production defaults: all on.
 struct ConvexCachingOptions {

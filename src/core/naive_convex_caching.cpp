@@ -27,12 +27,9 @@ void NaiveConvexCachingPolicy::reset(const PolicyContext& ctx) {
 }
 
 double NaiveConvexCachingPolicy::derivative_at(TenantId tenant,
-                                               double next_miss) const {
-  const CostFunction& f = *(*costs_)[tenant];
+                                               std::uint64_t m) const {
   const double marginal =
-      options_.derivative == DerivativeMode::kAnalytic
-          ? f.derivative(next_miss)
-          : f.value(next_miss) - f.value(next_miss - 1.0);
+      next_miss_marginal(*(*costs_)[tenant], m, options_.derivative);
   CCC_CHECK(std::isfinite(marginal),
             "NaiveConvexCaching: the marginal cost of tenant " +
                 std::to_string(tenant) + "'s next miss is " +
@@ -47,8 +44,8 @@ void NaiveConvexCachingPolicy::on_hit(const Request& request,
   // "bring in page p_t in cache and update B(p_t) ← f'(m(i(p_t),t−1)+1)"
   const auto it = slot_of_.find(request.page);
   CCC_CHECK(it != slot_of_.end(), "NaiveConvexCaching hit on untracked page");
-  slot_budget_[it->second] = derivative_at(
-      request.tenant, static_cast<double>(evictions_[request.tenant]) + 1.0);
+  slot_budget_[it->second] =
+      derivative_at(request.tenant, evictions_[request.tenant]);
 }
 
 PageId NaiveConvexCachingPolicy::choose_victim(const Request& /*request*/,
@@ -101,9 +98,8 @@ void NaiveConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
   // "For each page p' in the cache such that i(p') = i(p):
   //    B(p') ← B(p') + f'(m+2) − f'(m+1)."
   if (options_.bump_victim_tenant) {
-    const double delta =
-        derivative_at(owner, static_cast<double>(m_before) + 2.0) -
-        derivative_at(owner, static_cast<double>(m_before) + 1.0);
+    const double delta = derivative_at(owner, m_before + 1) -
+                         derivative_at(owner, m_before);
     for (std::size_t s = 0; s < slot_budget_.size(); ++s)
       if (slot_tenant_[s] == owner) slot_budget_[s] += delta;
   }
@@ -118,8 +114,8 @@ void NaiveConvexCachingPolicy::on_insert(const Request& request,
                             static_cast<std::uint32_t>(slot_page_.size()));
   slot_page_.push_back(request.page);
   slot_tenant_.push_back(request.tenant);
-  slot_budget_.push_back(derivative_at(
-      request.tenant, static_cast<double>(evictions_[request.tenant]) + 1.0));
+  slot_budget_.push_back(
+      derivative_at(request.tenant, evictions_[request.tenant]));
 }
 
 double NaiveConvexCachingPolicy::budget(PageId page) const {

@@ -31,7 +31,9 @@ class NaiveConvexCachingPolicy final : public ReplacementPolicy {
   [[nodiscard]] double budget(PageId page) const;
 
  private:
-  [[nodiscard]] double derivative_at(TenantId tenant, double next_miss) const;
+  /// Marginal cost of tenant's (m+1)-st miss; fails loudly when it is not
+  /// finite.
+  [[nodiscard]] double derivative_at(TenantId tenant, std::uint64_t m) const;
 
   ConvexCachingOptions options_;
   const std::vector<CostFunctionPtr>* costs_ = nullptr;

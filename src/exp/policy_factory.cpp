@@ -9,7 +9,6 @@
 #include "policies/clock.hpp"
 #include "policies/two_q.hpp"
 #include "policies/fifo.hpp"
-#include "policies/landlord.hpp"
 #include "policies/lfu.hpp"
 #include "policies/lru.hpp"
 #include "policies/lru_k.hpp"
@@ -32,7 +31,11 @@ std::unique_ptr<ReplacementPolicy> make_policy(const std::string& name) {
   if (name == "rand-marking")
     return std::make_unique<RandomizedMarkingPolicy>();
   if (name == "lru2") return std::make_unique<LruKPolicy>(2);
-  if (name == "landlord") return std::make_unique<LandlordPolicy>();
+  if (name == "landlord") {
+    ConvexCachingOptions options;
+    options.derivative = DerivativeMode::kFirstMarginal;
+    return std::make_unique<ConvexCachingPolicy>(options);
+  }
   if (name == "static") return std::make_unique<StaticPartitionPolicy>();
   if (name == "convex") return std::make_unique<ConvexCachingPolicy>();
   if (name == "convex-naive")

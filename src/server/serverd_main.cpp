@@ -41,7 +41,6 @@ int run(int argc, const char* const* argv) {
       .flag("hitpath", "seqlock", "hit path: seqlock (default) or locked")
       .flag("costs", "mono2",
             "per-tenant convex cost family: mono2,mono3,linear,sla")
-      .flag("seed", "1234", "policy seed (shard s uses seed + s)")
       .flag("max-connections", "1024",
             "cache-protocol connection limit; extras are closed on accept")
       .flag("batch-limit", "1024",
@@ -65,7 +64,6 @@ int run(int argc, const char* const* argv) {
           : static_cast<std::size_t>(cli.get_u64("k-per-tenant")) * tenants;
   cache_options.num_shards = static_cast<std::size_t>(cli.get_u64("shards"));
   cache_options.num_tenants = tenants;
-  cache_options.seed = cli.get_u64("seed");
   cache_options.hit_path =
       hitpath == "seqlock" ? HitPath::kSeqlock : HitPath::kLocked;
 

@@ -95,7 +95,9 @@ struct ShardedCacheOptions {
   std::size_t capacity = 0;    ///< total pages summed across shards
   std::size_t num_shards = 1;
   std::uint32_t num_tenants = 0;
-  std::uint64_t seed = 1;      ///< shard s seeds its policy with seed + s
+  /// Shard s hands seed + s to its session's PolicyContext. ALG-DISCRETE
+  /// draws no randomness, so no shard's decisions depend on it.
+  std::uint64_t seed = 1;
   /// Capacity floor per shard enforced by rebalance().
   std::size_t min_shard_capacity = 1;
   HitPath hit_path = HitPath::kLocked;

@@ -82,9 +82,10 @@ class ReplacementPolicy {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Index-work counters accumulated since reset(). Policies with internal
-  /// heaps (ConvexCaching, Landlord, …) report pops/stale skips/rebuilds;
-  /// the default reports zeros. The simulator overlays requests, evictions
-  /// and wall-clock time on top of whatever the policy returns.
+  /// heaps (ConvexCaching in every mode, Landlord included) report
+  /// pops/stale skips/rebuilds; the default reports zeros. The simulator
+  /// overlays requests, evictions and wall-clock time on top of whatever
+  /// the policy returns.
   [[nodiscard]] virtual PerfCounters perf_counters() const { return {}; }
 };
 

@@ -19,10 +19,15 @@ struct BoundCase {
   double beta;
   std::uint32_t tenants;
   std::size_t k;
+  /// Weighted-linear row (β = 1): tenant i pays (1 + 2i)·x and the policy
+  /// is make_policy("landlord").
+  bool landlord = false;
 
   friend std::ostream& operator<<(std::ostream& os, const BoundCase& c) {
-    return os << "seed" << c.seed << "_beta" << c.beta << "_n" << c.tenants
-              << "_k" << c.k;
+    os << "seed" << c.seed << "_beta" << c.beta << "_n" << c.tenants << "_k"
+       << c.k;
+    if (c.landlord) os << "_landlord";
+    return os;
   }
 };
 
@@ -65,16 +70,22 @@ INSTANTIATE_TEST_SUITE_P(
 
 class Theorem13Sweep : public ::testing::TestWithParam<BoundCase> {};
 
+// The weighted-linear rows are Young's bound for Landlord: with linear
+// costs α = 1, so Theorem 1.3 reads ALG ≤ (k/(k−h+1))·OPT_h, and Landlord
+// is Fig. 3 as written (every bump is 0), victim for victim.
 TEST_P(Theorem13Sweep, BiCriteriaBoundHolds) {
   const BoundCase c = GetParam();
   Rng rng(c.seed);
   const Trace t = random_uniform_trace(c.tenants, 3, 50, rng);
   std::vector<CostFunctionPtr> costs;
   for (std::uint32_t i = 0; i < c.tenants; ++i)
-    costs.push_back(std::make_unique<MonomialCost>(c.beta));
+    costs.push_back(std::make_unique<MonomialCost>(
+        c.beta, c.landlord ? 1.0 + 2.0 * i : 1.0));
 
-  ConvexCachingPolicy policy;
-  const SimResult run = run_trace(t, c.k, policy, &costs);
+  const auto policy = make_policy(c.landlord ? "landlord" : "convex");
+  SimOptions options;
+  options.record_events = true;
+  const SimResult run = run_trace(t, c.k, *policy, &costs, options);
   const double alg_cost = total_cost(run.metrics.miss_vector(), costs);
 
   // Offline OPT restricted to every smaller cache h ≤ k (Fig. 4's CP-h).
@@ -84,13 +95,25 @@ TEST_P(Theorem13Sweep, BiCriteriaBoundHolds) {
     EXPECT_LE(alg_cost, rhs + 1e-9)
         << "h=" << h << " alg=" << alg_cost << " bound=" << rhs;
   }
+
+  if (!c.landlord) return;
+  ConvexCachingPolicy analytic;
+  const SimResult fig3 = run_trace(t, c.k, analytic, &costs, options);
+  ASSERT_EQ(run.events.size(), fig3.events.size());
+  for (std::size_t i = 0; i < run.events.size(); ++i)
+    EXPECT_EQ(run.events[i].victim, fig3.events[i].victim) << "step " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, Theorem13Sweep,
     ::testing::Values(BoundCase{51, 1.0, 1, 3}, BoundCase{52, 2.0, 1, 3},
                       BoundCase{53, 2.0, 2, 3}, BoundCase{54, 3.0, 2, 2},
-                      BoundCase{55, 2.0, 2, 4}, BoundCase{56, 1.0, 3, 3}));
+                      BoundCase{55, 2.0, 2, 4}, BoundCase{56, 1.0, 3, 3},
+                      BoundCase{57, 1.0, 2, 2, true},
+                      BoundCase{58, 1.0, 2, 3, true},
+                      BoundCase{59, 1.0, 3, 3, true},
+                      BoundCase{60, 1.0, 2, 4, true},
+                      BoundCase{61, 1.0, 3, 5, true}));
 
 // Lemma 2.2's proof never uses optimality of the comparator x* — only its
 // feasibility for (CP). Hence Σ f_i(a_i) ≤ Σ f_i(α·k·b'_i) must hold with

@@ -1,9 +1,10 @@
 // Tests for the eviction index of ConvexCachingPolicy (per-tenant heaps
 // under a tenant winner tree): randomized differential replay against a
-// full scan of the policy's own effective budgets and against the literal
-// Fig. 3 transcription (NaiveConvexCachingPolicy), tie-breaking (including
-// keys that round to one score), window-rollover rebuilds, and the perf
-// counters surfaced through SimResult.
+// full scan of the policy's own effective budgets, against the literal
+// Fig. 3 transcription (NaiveConvexCachingPolicy) and under the audit
+// layer, in the analytic and the Landlord (first-marginal) mode;
+// tie-breaking (including keys that round to one score), window-rollover
+// rebuilds, and the perf counters surfaced through SimResult.
 //
 // Unless a test says otherwise the cost families here have integer-valued
 // marginals, so every implementation computes budgets exactly in floating
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/audit.hpp"
 #include "core/convex_caching.hpp"
 #include "core/naive_convex_caching.hpp"
 #include "cost/combinators.hpp"
@@ -69,6 +71,10 @@ class ScanCheckedPolicy final : public ReplacementPolicy {
 
   /// Evictions where the index and the scan disagreed.
   [[nodiscard]] std::size_t mismatches() const noexcept { return mismatches_; }
+  /// The wrapped policy, for an auditor's set_target.
+  [[nodiscard]] const ConvexCachingPolicy& inner() const noexcept {
+    return inner_;
+  }
 
  private:
   ConvexCachingPolicy inner_;
@@ -143,20 +149,44 @@ struct DiffCase {
 class EvictionIndexDifferentialTest
     : public ::testing::TestWithParam<DiffCase> {};
 
-TEST_P(EvictionIndexDifferentialTest, GlobalScanAndNaiveAgree) {
-  const DiffCase c = GetParam();
+/// Replays the case through the index (checked against a scan of its own
+/// budgets and by the audit layer) and through the naive oracle.
+void expect_index_scan_naive_audit_agree(const DiffCase& c,
+                                         const ConvexCachingOptions& mode) {
   const Trace trace =
       mixed_trace(c.tenants, c.pages_per_tenant, c.length, c.seed);
   const auto costs = integer_costs(c.tenants);
 
-  ScanCheckedPolicy indexed;
-  NaiveConvexCachingPolicy naive;
+  ScanCheckedPolicy indexed(mode);
+  NaiveConvexCachingPolicy naive(mode);
+  ConvexCachingAuditor auditor;
+  auditor.set_target(&indexed.inner());
   SimOptions options;
   options.record_events = true;
-  const SimResult g = run_trace(trace, c.k, indexed, &costs, options);
   const SimResult n = run_trace(trace, c.k, naive, &costs, options);
+  options.auditor = &auditor;
+  const SimResult g = run_trace(trace, c.k, indexed, &costs, options);
   EXPECT_EQ(indexed.mismatches(), 0u) << "index vs scan";
   expect_identical_decisions(g, n, "index vs naive");
+  const AuditReport& report = auditor.report();
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_GT(report.victim_checks, 0u);
+  EXPECT_GT(report.budget_checks, 0u);
+}
+
+TEST_P(EvictionIndexDifferentialTest, GlobalScanAndNaiveAgree) {
+  expect_index_scan_naive_audit_agree(GetParam(), {});
+}
+
+// Landlord is the first-marginal mode. The index, the naive transcription
+// and the auditor's budget bound (B(p) ≤ the mode's next-miss marginal)
+// read one definition of that marginal; on these quadratic and cubic
+// tenants a bound computed as f(1) − f(0) would sit below the f'(1)
+// credit and report a violation on their first page.
+TEST_P(EvictionIndexDifferentialTest, LandlordModeAgreesWithNaiveAndAudit) {
+  ConvexCachingOptions landlord;
+  landlord.derivative = DerivativeMode::kFirstMarginal;
+  expect_index_scan_naive_audit_agree(GetParam(), landlord);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,7 +7,10 @@
 // same `key + bump` are ordered by page id.
 //
 // Cases: every family of cost/spec.hpp × {whole-run, windowed, discrete
-// marginal}, plus short versions of the benchmark's three workloads.
+// marginal}, plus short versions of the benchmark's three workloads. The
+// `_landlord` cases run the first-marginal mode (make_policy("landlord"))
+// and were recorded from the separate std::map Landlord implementation it
+// replaced, so the mode reproduces that policy's victims bit for bit.
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -186,6 +189,7 @@ GoldenCase workload(const char* name, const Spec& spec, std::size_t k,
 
 constexpr auto kWhole = DerivativeMode::kAnalytic;
 constexpr auto kDiscrete = DerivativeMode::kDiscreteMarginal;
+constexpr auto kLandlord = DerivativeMode::kFirstMarginal;
 constexpr std::size_t kWindow = 257;
 
 INSTANTIATE_TEST_SUITE_P(
@@ -239,6 +243,24 @@ INSTANTIATE_TEST_SUITE_P(
                "0xddf68eddbea08951", "0x1a86f1f9e525018c"),
         family("sqrt_discrete", kSqrt, kDiscrete, 0,
                "0x16fd7427b7827a59", "0x936cc1309e857605"),
+        family("linear_landlord", kLinear, kLandlord, 0,
+               "0xe3883eb41e460904", "0xe21f3d8e04323b31"),
+        family("mono_landlord", kMono, kLandlord, 0,
+               "0xb8aaddee6db61a56", "0xf1aa50af396adc48"),
+        family("poly_landlord", kPoly, kLandlord, 0,
+               "0xc17f2b5c8a2cfc72", "0xebf80fe26a6ba8c6"),
+        family("sla_landlord", kSla, kLandlord, 0,
+               "0x5c125d9f2507560c", "0x3c5d4fab3c338ce6"),
+        family("pwl_landlord", kPwl, kLandlord, 0,
+               "0xfec706b9a6944115", "0x4eea477366e4dc1d"),
+        family("exp_landlord", kExp, kLandlord, 0,
+               "0x38deb05149b83ab3", "0x62021c2d31dc40f4"),
+        family("step_landlord", kStep, kLandlord, 0,
+               "0x5c125d9f2507560c", "0x3c5d4fab3c338ce6"),
+        family("sqrt_landlord", kSqrt, kLandlord, 0,
+               "0x6e4b1612a9a84655", "0x416654f0dfacf4b4"),
+        family("mono2_landlord", kMono2, kLandlord, 0,
+               "0xe3883eb41e460904", "0xe21f3d8e04323b31"),
         workload("serving", kMono2, 80, 0.9, "0x1cc2061a045a3e65",
                  "0x462b6c1ef7e51775"),
         workload("churn", kMono2, 8, 0.9, "0x3f9d64456e249ca2",

@@ -1,9 +1,12 @@
-// Behavioral tests for Landlord / weighted caching (policies/landlord.hpp).
-#include "policies/landlord.hpp"
-
+// Behavioral tests for Landlord / weighted caching: ALG-DISCRETE with every
+// marginal pinned at f'_i(1) (DerivativeMode::kFirstMarginal), built by
+// make_policy("landlord"). A tenant's weight is its cost's f'(1), so the
+// weighted-caching instances here are written as `linear:w` costs.
 #include <gtest/gtest.h>
 
-#include "cost/monomial.hpp"
+#include "core/convex_caching.hpp"
+#include "cost/spec.hpp"
+#include "exp/policy_factory.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
@@ -11,13 +14,18 @@
 namespace ccc {
 namespace {
 
-std::vector<std::optional<PageId>> victims(const Trace& t, std::size_t k,
-                                           ReplacementPolicy& policy,
-                                           const std::vector<CostFunctionPtr>*
-                                               costs = nullptr) {
+std::vector<CostFunctionPtr> costs_of(const std::vector<std::string>& specs) {
+  std::vector<CostFunctionPtr> costs;
+  for (const std::string& spec : specs) costs.push_back(parse_cost_spec(spec));
+  return costs;
+}
+
+std::vector<std::optional<PageId>> victims(
+    const Trace& t, std::size_t k, const std::vector<CostFunctionPtr>& costs) {
+  const auto landlord = make_policy("landlord");
   SimOptions options;
   options.record_events = true;
-  const SimResult result = run_trace(t, k, policy, costs, options);
+  const SimResult result = run_trace(t, k, *landlord, &costs, options);
   std::vector<std::optional<PageId>> out;
   for (const StepEvent& e : result.events) out.push_back(e.victim);
   return out;
@@ -25,68 +33,96 @@ std::vector<std::optional<PageId>> victims(const Trace& t, std::size_t k,
 
 TEST(Landlord, CheapTenantEvictedFirst) {
   // Tenant 0 weight 1, tenant 1 weight 10.
-  LandlordPolicy landlord({1.0, 10.0});
+  const auto costs = costs_of({"linear:1", "linear:10"});
   Trace t(2);
   t.append(0, make_page(0, 0));
   t.append(1, make_page(1, 0));
   t.append(0, make_page(0, 1));  // forces an eviction with k=2
-  const auto v = victims(t, 2, landlord);
+  const auto v = victims(t, 2, costs);
   EXPECT_EQ(v[2], make_page(0, 0));  // the cheap tenant's page goes
 }
 
 TEST(Landlord, DebitEventuallyEvictsExpensivePage) {
-  LandlordPolicy landlord({1.0, 3.0});
+  const auto costs = costs_of({"linear:1", "linear:3"});
   Trace t(2);
   t.append(1, make_page(1, 0));  // credit 3
-  // Three cheap misses in a row debit the expensive page by 1 each time.
+  // Cheap misses in a row debit the expensive page by 1 each time.
   t.append(0, make_page(0, 0));
-  t.append(0, make_page(0, 1));  // evict cheap (credit 1 ≤ 3)
-  t.append(0, make_page(0, 2));  // evict cheap again (3−1=2 remains)
-  t.append(0, make_page(0, 3));  // now expensive credit 1 = cheap → tie
-  const auto v = victims(t, 2, landlord);
-  // After two debits the expensive page's credit is 1, tied with the fresh
-  // cheap page; min-key ordering uses (credit, page id) so the expensive
-  // page (higher id under make_page with tenant 1) survives ties... verify
-  // the cheap pages were the first two victims at least.
+  t.append(0, make_page(0, 1));  // evicts (0,0): credit 1 < 3; (1,0) → 2
+  t.append(0, make_page(0, 2));  // evicts (0,1): credit 1 < 2; (1,0) → 1
+  t.append(0, make_page(0, 3));  // (1,0) and (0,2) tie at credit 1
+  const auto v = victims(t, 2, costs);
   EXPECT_EQ(v[2], make_page(0, 0));
   EXPECT_EQ(v[3], make_page(0, 1));
+  // The tie goes to the lower page id: tenant 0's page, whose id is lower
+  // under make_page — the debit has worn the expensive page down to it.
+  ASSERT_LT(make_page(0, 2), make_page(1, 0));
+  EXPECT_EQ(v[4], make_page(0, 2));
 }
 
 TEST(Landlord, HitRefreshesCredit) {
-  LandlordPolicy landlord({1.0, 1.0});
-  Trace t(2);
-  t.append(0, make_page(0, 0));
-  t.append(1, make_page(1, 0));
-  t.append(0, make_page(0, 0));  // hit → refresh
-  t.append(0, make_page(0, 1));  // evict: both credit 1, tie by page id
-  const auto v = victims(t, 2, landlord);
-  ASSERT_TRUE(v[3].has_value());
+  const auto costs = costs_of({"linear:1", "linear:1"});
+  ConvexCachingOptions options;
+  options.derivative = DerivativeMode::kFirstMarginal;
+  ConvexCachingPolicy landlord(options);
+  SimulatorSession session(2, 2, landlord, &costs);
+  session.step({0, make_page(0, 0)});
+  session.step({1, make_page(1, 0)});
+  // Evicting a credit-1 page debits the survivor down to 0 ...
+  ASSERT_EQ(session.step({0, make_page(0, 1)}).victim, make_page(0, 0));
+  EXPECT_DOUBLE_EQ(landlord.budget(make_page(1, 0)), 0.0);
+  // ... and a hit restores its full credit.
+  session.step({1, make_page(1, 0)});
+  EXPECT_DOUBLE_EQ(landlord.budget(make_page(1, 0)), 1.0);
+  // Both pages now hold credit 1 and the tie goes to the lower page id;
+  // without the refresh, page (1,0) would have gone at credit 0.
+  EXPECT_EQ(session.step({0, make_page(0, 2)}).victim, make_page(0, 1));
 }
 
 TEST(Landlord, DerivesWeightsFromCosts) {
-  LandlordPolicy landlord;  // weights from f'(1)
-  std::vector<CostFunctionPtr> costs;
-  costs.push_back(std::make_unique<MonomialCost>(1.0, 1.0));   // w=1
-  costs.push_back(std::make_unique<MonomialCost>(1.0, 10.0));  // w=10
-  Trace t(2);
-  t.append(0, make_page(0, 0));
-  t.append(1, make_page(1, 0));
-  t.append(0, make_page(0, 1));
-  const auto v = victims(t, 2, landlord, &costs);
-  EXPECT_EQ(v[2], make_page(0, 0));
+  // The credit is f'(1) of the tenant's cost (2 for x², 15 for 10·x^1.5),
+  // pinned for the whole run: it does not follow f' up as misses accrue.
+  const auto costs = costs_of({"mono:2", "mono:1.5,10"});
+  ConvexCachingOptions options;
+  options.derivative = DerivativeMode::kFirstMarginal;
+  ConvexCachingPolicy landlord(options);
+  SimulatorSession session(2, 2, landlord, &costs);
+  session.step({0, make_page(0, 0)});
+  session.step({1, make_page(1, 0)});
+  EXPECT_DOUBLE_EQ(landlord.budget(make_page(0, 0)), 2.0);
+  EXPECT_DOUBLE_EQ(landlord.budget(make_page(1, 0)), 15.0);
+  for (std::uint64_t p = 1; p <= 4; ++p) {
+    const StepEvent e = session.step({0, make_page(0, p)});
+    EXPECT_EQ(e.victim, make_page(0, p - 1));  // the cheap tenant pays
+    EXPECT_DOUBLE_EQ(landlord.budget(make_page(0, p)), 2.0);
+  }
+  EXPECT_EQ(landlord.tenant_evictions()[0], 4u);
+  EXPECT_EQ(landlord.name(), "Landlord");
 }
 
 TEST(Landlord, RequiresWeightsOrCosts) {
-  LandlordPolicy landlord;
+  const auto landlord = make_policy("landlord");
   Trace t(1);
   t.append(0, 1);
-  EXPECT_THROW((void)run_trace(t, 2, landlord, nullptr),
+  EXPECT_THROW((void)run_trace(t, 2, *landlord, nullptr),
                std::invalid_argument);
 }
 
 TEST(Landlord, RejectsNonPositiveWeights) {
-  EXPECT_THROW(LandlordPolicy({1.0, 0.0}), std::invalid_argument);
-  EXPECT_THROW(LandlordPolicy({-1.0}), std::invalid_argument);
+  // A weight is a linear cost's slope, and the cost layer refuses a
+  // non-positive one.
+  EXPECT_THROW((void)parse_cost_spec("linear:0"), std::invalid_argument);
+  EXPECT_THROW((void)parse_cost_spec("linear:-1"), std::invalid_argument);
+  // A convex cost may still have f'(1) = 0 (an SLA below its knee): its
+  // credit is floored to a tiny positive value, never 0.
+  const auto costs = costs_of({"sla:8,1"});
+  ConvexCachingOptions options;
+  options.derivative = DerivativeMode::kFirstMarginal;
+  ConvexCachingPolicy landlord(options);
+  SimulatorSession session(2, 1, landlord, &costs);
+  session.step({0, 1});
+  EXPECT_EQ(costs[0]->derivative(1.0), 0.0);
+  EXPECT_EQ(landlord.budget(1), kFirstMarginalFloor);
 }
 
 TEST(Landlord, UnitWeightsBehaveLikeFlushingPolicy) {
@@ -94,8 +130,9 @@ TEST(Landlord, UnitWeightsBehaveLikeFlushingPolicy) {
   // sanity-check it against LRU's miss count order of magnitude.
   Rng rng(31);
   const Trace t = random_uniform_trace(2, 10, 2000, rng);
-  LandlordPolicy landlord({1.0, 1.0});
-  const SimResult result = run_trace(t, 5, landlord, nullptr);
+  const auto costs = costs_of({"linear:1", "linear:1"});
+  const auto landlord = make_policy("landlord");
+  const SimResult result = run_trace(t, 5, *landlord, &costs);
   EXPECT_GT(result.metrics.total_hits(), 0u);
   EXPECT_EQ(result.metrics.total_hits() + result.metrics.total_misses(),
             t.size());

@@ -6,6 +6,10 @@
 // indexed policy and the literal Fig. 3 transcription must throw naming
 // the tenant and its miss count. This binary runs under a ctest TIMEOUT,
 // so a regression to the old livelock fails instead of stalling the suite.
+//
+// The Landlord (first-marginal) mode floors only f'(1) ≤ 0: a NaN f'(1)
+// must reach the same check rather than turn into the floor credit.
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +18,7 @@
 
 #include "core/convex_caching.hpp"
 #include "core/naive_convex_caching.hpp"
+#include "cost/cost_function.hpp"
 #include "cost/spec.hpp"
 #include "sim/simulator.hpp"
 #include "trace/generators.hpp"
@@ -47,6 +52,24 @@ TEST(NonFiniteBudgets, ExponentialOverflowFailsLoudly) {
   ConvexCachingPolicy indexed;
   expect_nonfinite_error(indexed, trace, costs);
   NaiveConvexCachingPolicy naive;
+  expect_nonfinite_error(naive, trace, costs);
+}
+
+TEST(NonFiniteBudgets, NanFirstMarginalFailsLoudlyInLandlordMode) {
+  Rng rng(5);
+  const Trace trace = random_uniform_trace(2, 64, 1'000, rng);
+  std::vector<CostFunctionPtr> costs;
+  costs.push_back(parse_cost_spec("linear:1"));
+  costs.push_back(std::make_unique<CallableCost>(
+      [](double x) { return x; },
+      [](double) { return std::numeric_limits<double>::quiet_NaN(); },
+      /*convex=*/true, "nan-derivative"));
+
+  ConvexCachingOptions landlord;
+  landlord.derivative = DerivativeMode::kFirstMarginal;
+  ConvexCachingPolicy indexed(landlord);
+  expect_nonfinite_error(indexed, trace, costs);
+  NaiveConvexCachingPolicy naive(landlord);
   expect_nonfinite_error(naive, trace, costs);
 }
 
