@@ -5,7 +5,8 @@
 ///   1. Do the two non-obvious steps of Fig. 3 — the survivor debit and the
 ///      victim-tenant bump — actually matter? (Ablate each.)
 ///   2. Does the discrete-marginal variant (§2.5) behave like the analytic
-///      one on convex costs?
+///      one on convex costs? And what does tracking the marginal buy over
+///      freezing it at f'(1) — Young's Landlord with credit f'_i(1)?
 ///   3. Does the algorithm stay sane on non-convex / discontinuous costs,
 ///      where the theorems are silent but §2.5 says it still applies?
 /// All variants run on the same traces; the table reports total cost
@@ -45,6 +46,9 @@ std::vector<Variant> variants() {
   ConvexCachingOptions discrete;
   discrete.derivative = DerivativeMode::kDiscreteMarginal;
   out.push_back({"discrete marginal (2.5)", discrete});
+  ConvexCachingOptions landlord;
+  landlord.derivative = DerivativeMode::kFirstMarginal;
+  out.push_back({"static linearization f'(1): Landlord", landlord});
   return out;
 }
 

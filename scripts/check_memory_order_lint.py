@@ -2,7 +2,8 @@
 """Memory-order justification lint.
 
 Every *explicit* std::memory_order argument in the concurrency-bearing
-directories (src/shard, src/analysis) must carry an adjacent justification
+directories (SCAN_DIRS: the page table in src/core, src/shard,
+src/analysis, src/obs and src/server) must carry an adjacent justification
 comment: either on the same line, or within the three lines above the use.
 A bare `memory_order_relaxed` with no stated reason is exactly how seqlock
 protocols rot — the next editor cannot tell a load that is relaxed because
@@ -26,8 +27,9 @@ import argparse
 import pathlib
 import re
 import sys
+import tempfile
 
-SCAN_DIRS = ("src/shard", "src/analysis", "src/obs")
+SCAN_DIRS = ("src/core", "src/shard", "src/analysis", "src/obs", "src/server")
 SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
 MEMORY_ORDER_RE = re.compile(r"\bmemory_order(?:_\w+|::\w+)")
@@ -71,8 +73,9 @@ def find_unjustified(text: str) -> list[int]:
     return offenders
 
 
-def scan(root: pathlib.Path) -> int:
-    failed = False
+def offenders_under(root: pathlib.Path) -> list[tuple[str, int]]:
+    """(path relative to root, line) of every unjustified use in SCAN_DIRS."""
+    found = []
     for rel in SCAN_DIRS:
         base = root / rel
         if not base.is_dir():
@@ -80,14 +83,20 @@ def scan(root: pathlib.Path) -> int:
         for path in sorted(base.rglob("*")):
             if path.suffix not in SUFFIXES:
                 continue
-            offenders = find_unjustified(path.read_text(encoding="utf-8"))
-            for lineno in offenders:
-                failed = True
-                print(
-                    f"{path.relative_to(root)}:{lineno}: explicit "
-                    "memory_order without an adjacent justification comment "
-                    f"(same line or within {JUSTIFICATION_WINDOW} lines above)"
-                )
+            for lineno in find_unjustified(path.read_text(encoding="utf-8")):
+                found.append((path.relative_to(root).as_posix(), lineno))
+    return found
+
+
+def scan(root: pathlib.Path) -> int:
+    failed = False
+    for rel, lineno in offenders_under(root):
+        failed = True
+        print(
+            f"{rel}:{lineno}: explicit "
+            "memory_order without an adjacent justification comment "
+            f"(same line or within {JUSTIFICATION_WINDOW} lines above)"
+        )
     if failed:
         print(
             "\nmemory-order lint FAILED — say *why* the ordering is "
@@ -125,8 +134,26 @@ def self_test() -> int:
         if got != expected:
             ok = False
             print(f"self-test case {i} FAILED: expected {expected}, got {got}")
+    # The directory list: the seqlock page table sits in src/core beside
+    # its writer, the server's loop counters in src/server; a directory
+    # outside the list stays unscanned.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        bare = "x.load(std::memory_order_relaxed);\n"
+        for rel in ("src/core/seqlock_table.hpp", "src/server/server.cpp",
+                    "src/sim/simulator.cpp"):
+            path = root / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(bare, encoding="utf-8")
+        got = offenders_under(root)
+        expected = [("src/core/seqlock_table.hpp", 1),
+                    ("src/server/server.cpp", 1)]
+        if got != expected:
+            ok = False
+            print(f"self-test directory case FAILED: expected {expected}, "
+                  f"got {got}")
     if ok:
-        print(f"self-test passed ({len(cases)} cases)")
+        print(f"self-test passed ({len(cases) + 1} cases)")
         return 0
     return 1
 

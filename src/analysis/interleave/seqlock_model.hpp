@@ -26,6 +26,11 @@
 /// serializes in the past; flagging that would reject the correct
 /// protocol.
 ///
+/// The writer ops are the policy's own table writes (insert, restamp,
+/// erase with its epoch bumps; an erase alone is a capacity shrink), and
+/// after each one the harness checks that every resident page's slot
+/// still holds the node handle the page was published with.
+///
 /// The mutation suite (tests/test_seqlock_model.cpp) flips one
 /// SeqlockConfig ingredient at a time and asserts the checker reports a
 /// violation, while the shipped all-true config passes every script with
@@ -37,7 +42,7 @@
 #include <vector>
 
 #include "analysis/interleave/checked_atomics.hpp"
-#include "shard/seqlock_table.hpp"
+#include "core/seqlock_table.hpp"
 #include "util/check.hpp"
 #include "util/flat_map.hpp"  // util::splitmix64 (collision search)
 
@@ -77,16 +82,18 @@ class SeqlockModelHarness {
     truth_.push_back(Snapshot{0, {}});
   }
 
-  // ---- writer script (record mode; ops mirror ShardedCache's use) ---- //
+  // ---- writer script (record mode; ops mirror ConvexCachingPolicy's) -- //
 
-  /// Miss into free space (ShardedCache::apply_event_seqlock, no victim).
+  /// Miss into free space: publish the page with a fresh handle.
   /// `tenant` is recorded as the page's owner for the rest of the script
   /// (the production pairing contract: pages are tenant-owned).
   void fill(std::uint64_t page, std::uint32_t tenant = 0) {
     begin_op([&](Snapshot& s) { s.state[page] = PageTruth::kFresh; });
     owner_[page] = tenant;
+    handle_[page] = next_handle_++;
     const ScopedModelContext scope(ctx_);
-    table_.publish_insert(page, tenant);
+    table_.insert(page, tenant, handle_[page]);
+    check_handles();
   }
 
   /// Locked hit (stamp refresh).
@@ -96,18 +103,15 @@ class SeqlockModelHarness {
       s.state[page] = PageTruth::kFresh;
     });
     const ScopedModelContext scope(ctx_);
-    (void)table_.restamp_hit(page, owner_of(page));
+    (void)table_.restamp(table_.find(page), owner_of(page));
   }
 
-  /// Miss with eviction. Ghost truth mirrors the per-tenant freshness
-  /// criterion exactly: if the eviction moved the shared survivor-debit
-  /// offset, *every* survivor's re-freeze value changed (all go stale);
-  /// otherwise if it re-based the victim tenant's budgets, only that
-  /// tenant's survivors go stale; otherwise (zero-budget victim, flat
-  /// marginal — the generational steady state) nothing stales at all.
-  /// The fetched page always arrives fresh.
-  void evict(std::uint64_t victim, std::uint64_t page,
-             std::uint32_t page_tenant = 0, bool offset_moved = true,
+  /// Eviction without a fetch (a capacity shrink; the first half of an
+  /// evicting miss). Ghost truth mirrors the per-tenant freshness
+  /// criterion exactly: an offset move stales every survivor; else a
+  /// re-base of the victim tenant stales only that tenant's survivors;
+  /// else (zero-budget victim, flat marginal) nothing stales.
+  void erase(std::uint64_t victim, bool offset_moved = true,
              bool victim_refreshed = true) {
     begin_op([&](Snapshot& s) {
       CCC_CHECK(s.state.erase(victim) == 1, "evicting a non-resident page");
@@ -116,31 +120,20 @@ class SeqlockModelHarness {
             (victim_refreshed && owner_of(p) == owner_of(victim)))
           truth = PageTruth::kStale;
       }
-      s.state[page] = PageTruth::kFresh;
     });
-    const std::uint32_t victim_tenant = owner_of(victim);
-    owner_[page] = page_tenant;
+    handle_.erase(victim);
     const ScopedModelContext scope(ctx_);
-    table_.evict_and_insert(victim, page, page_tenant, victim_tenant,
-                            offset_moved, victim_refreshed);
+    table_.erase(table_.find(victim), owner_of(victim), offset_moved,
+                 victim_refreshed);
+    check_handles();
   }
 
-  /// Rebalance-style structural rebuild: the surviving resident set is
-  /// re-published with uniformly stale stamps inside one window (capacity
-  /// changes debit budgets, so nothing may look fresh afterwards).
-  void rebuild(const std::vector<std::uint64_t>& survivors) {
-    begin_op([&](Snapshot& s) {
-      s.state.clear();
-      for (const std::uint64_t p : survivors)
-        s.state[p] = PageTruth::kStale;
-    });
-    const ScopedModelContext scope(ctx_);
-    table_.open_window();
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> pages;
-    pages.reserve(survivors.size());
-    for (const std::uint64_t p : survivors) pages.emplace_back(p, 0);
-    table_.rebuild(pages);
-    table_.close_window();
+  /// Miss with eviction: the erase, then the fetched page's publish.
+  void evict(std::uint64_t victim, std::uint64_t page,
+             std::uint32_t page_tenant = 0, bool offset_moved = true,
+             bool victim_refreshed = true) {
+    erase(victim, offset_moved, victim_refreshed);
+    fill(page, page_tenant);
   }
 
   // ---- exploration (after the script) ------------------------------- //
@@ -213,6 +206,19 @@ class SeqlockModelHarness {
     return it == owner_.end() ? 0u : it->second;
   }
 
+  /// Every resident page's slot holds its handle, and the table holds
+  /// nothing else (writer-side reads: record mode returns latest values).
+  void check_handles() const {
+    std::size_t seen = 0;
+    table_.for_each([&](std::uint64_t page, std::uint32_t handle) {
+      const auto it = handle_.find(page);
+      CCC_CHECK(it != handle_.end() && it->second == handle,
+                "page table slot holds another page's handle");
+      ++seen;
+    });
+    CCC_CHECK(seen == handle_.size(), "page table lost a resident page");
+  }
+
   ModelContext ctx_;
   // Installed for the harness's whole lifetime and declared BEFORE the
   // table: the table's Atomic members register themselves with the
@@ -223,6 +229,9 @@ class SeqlockModelHarness {
   SeqlockResidencyTable<CheckedAtomics, Config> table_;
   std::vector<Snapshot> truth_;
   std::map<std::uint64_t, std::uint32_t> owner_;
+  /// Resident page → the node handle it was published with.
+  std::map<std::uint64_t, std::uint32_t> handle_;
+  std::uint32_t next_handle_ = 0;
 };
 
 }  // namespace ccc::interleave

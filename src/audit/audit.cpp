@@ -110,16 +110,16 @@ void ConvexCachingAuditor::audit_now(const ConvexCachingPolicy& policy,
 void ConvexCachingAuditor::check_residency_agreement(
     const ConvexCachingPolicy& policy, const CacheState& cache,
     TimeStep time) {
-  if (policy.pages_.size() != cache.size())
+  if (policy.pages_->size() != cache.size())
     violation("residency",
-              "policy tracks " + std::to_string(policy.pages_.size()) +
+              "policy tracks " + std::to_string(policy.pages_->size()) +
                   " pages, cache holds " + std::to_string(cache.size()),
               time);
-  for (const auto [page, handle] : policy.pages_) {
+  policy.pages_->for_each([&](PageId page, ConvexCachingPolicy::Handle handle) {
     if (!cache.contains(page)) {
       violation("residency",
                 "policy tracks non-resident page " + page_str(page), time);
-      continue;
+      return;
     }
     const TenantId tenant = policy.nodes_[handle].tenant;
     if (cache.owner(page) != tenant)
@@ -128,30 +128,30 @@ void ConvexCachingAuditor::check_residency_agreement(
                     std::to_string(tenant) + ", cache says " +
                     std::to_string(cache.owner(page)),
                 time);
-  }
+  });
 }
 
 void ConvexCachingAuditor::check_budget_bounds(
     const ConvexCachingPolicy& policy, const CacheState& /*cache*/,
     TimeStep time) {
   const double tol = config_.tolerance;
-  for (const auto [page, handle] : policy.pages_) {
+  policy.pages_->for_each([&](PageId page, ConvexCachingPolicy::Handle handle) {
     ++report_.budget_checks;
     const ConvexCachingPolicy::Node& node = policy.nodes_[handle];
     const double eff = policy.effective(node.key, node.tenant);
     if (!std::isfinite(eff)) {
       violation("budget-bounds",
                 "non-finite budget for page " + page_str(page), time);
-      continue;
+      return;
     }
     // The bounds are only a theorem for convex costs (§2.5 waives them).
-    if (!all_convex_) continue;
+    if (!all_convex_) return;
     if (eff < -tol) {
       violation("budget-bounds",
                 "B(" + page_str(page) + ") = " + std::to_string(eff) +
                     " < 0 — invariant (3a) analogue violated",
                 time);
-      continue;
+      return;
     }
     // Recomputed from m(i), not read from the policy's marginal cache.
     const double marginal =
@@ -165,15 +165,15 @@ void ConvexCachingAuditor::check_budget_bounds(
                     std::to_string(marginal) + " of tenant " +
                     std::to_string(node.tenant),
                 time);
-  }
+  });
 }
 
 void ConvexCachingAuditor::check_victim_minimality(
     const ConvexCachingPolicy& policy, const CacheState& /*cache*/,
     PageId victim, TimeStep time) {
   ++report_.victim_checks;
-  const auto victim_it = policy.pages_.find(victim);
-  if (victim_it == policy.pages_.end()) {
+  const std::size_t victim_slot = policy.pages_->find(victim);
+  if (victim_slot == ConvexCachingPolicy::PageTable::kNoSlot) {
     violation("victim-minimality",
               "victim " + page_str(victim) + " is not tracked as resident",
               time);
@@ -188,15 +188,16 @@ void ConvexCachingAuditor::check_victim_minimality(
   bool found = false;
   double best_eff = 0.0;
   PageId best_page = 0;
-  for (const auto [page, handle] : policy.pages_) {
+  policy.pages_->for_each([&](PageId page, ConvexCachingPolicy::Handle handle) {
     const double eff = budget_of(handle);
     if (!found || eff < best_eff || (eff == best_eff && page < best_page)) {
       found = true;
       best_eff = eff;
       best_page = page;
     }
-  }
-  const double victim_budget = budget_of(victim_it->second);
+  });
+  const double victim_budget =
+      budget_of(policy.pages_->handle(victim_slot));
   if (best_page != victim)
     violation("victim-minimality",
               "index chose page " + page_str(victim) + " (B=" +
@@ -249,12 +250,12 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
 
   // Handles: every resident page's node names it and records the slot its
   // handle occupies, and the heaps hold exactly the resident pages.
-  if (entries != policy.pages_.size())
+  if (entries != policy.pages_->size())
     violation("index-position",
               "heaps hold " + std::to_string(entries) + " entries for " +
-                  std::to_string(policy.pages_.size()) + " resident pages",
+                  std::to_string(policy.pages_->size()) + " resident pages",
               time);
-  for (const auto [page, handle] : policy.pages_) {
+  policy.pages_->for_each([&](PageId page, ConvexCachingPolicy::Handle handle) {
     const ConvexCachingPolicy::Node& node = policy.nodes_[handle];
     const bool placed = node.page == page &&
                         node.tenant < policy.heaps_.size() &&
@@ -266,7 +267,7 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
                     std::to_string(node.pos) +
                     " but its handle is not there",
                 time);
-  }
+  });
 
   // Winner tree: every leaf equals its tenant's argmin of (key + bump,
   // page id), recomputed by a full scan, and every internal node holds the

@@ -35,8 +35,12 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
   dual_mass_.assign(ctx.num_tenants, 0.0);
   marginal_.assign(ctx.num_tenants, 0.0);
   for (TenantId t = 0; t < ctx.num_tenants; ++t) cache_marginal(t);
-  pages_.clear();
-  pages_.reserve(ctx.capacity);
+  // At most half full, so a probe ends within a few slots.
+  std::size_t slots = 16;
+  while (slots < 2 * ctx.capacity + 2) slots <<= 1;
+  pages_.emplace();
+  pages_->allocate(slots, std::max<std::uint32_t>(1, ctx.num_tenants));
+  capacity_ = ctx.capacity;
   nodes_.clear();
   nodes_.reserve(ctx.capacity);
   free_.clear();
@@ -54,8 +58,6 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
                  Leaf{kInfinity, kNoPage});
   tree_.assign(leaves_.size(), 0);
   rebuild_tree();
-  last_evict_moved_offset_ = false;
-  last_evict_refreshed_tenant_ = false;
   current_window_ = 0;
   counters_ = PerfCounters{};
 }
@@ -173,7 +175,8 @@ void ConvexCachingPolicy::maybe_roll_window(TimeStep time) {
   ++counters_.window_rollovers;
   ++counters_.index_rebuilds;
   // New accounting window: every tenant's miss count restarts at zero, so
-  // every marginal — and therefore every budget — re-bases. All keys of a
+  // every marginal — and therefore every budget — re-bases (stamps stay:
+  // no lock-free reader serves a windowed run). All keys of a
   // tenant become equal, so each heap re-heapifies by page id.
   std::fill(evictions_.begin(), evictions_.end(), 0);
   std::fill(tenant_bump_.begin(), tenant_bump_.end(), 0.0);
@@ -190,18 +193,102 @@ void ConvexCachingPolicy::maybe_roll_window(TimeStep time) {
 
 // -- Fig. 3 -------------------------------------------------------------------
 
-void ConvexCachingPolicy::on_hit(const Request& request, TimeStep time) {
-  maybe_roll_window(time);
+bool ConvexCachingPolicy::hit(std::size_t slot) {
   // Fig. 3, first bullet: refresh B(p_t) on every access. Between
   // evictions the refreshed key is bit-identical to the stored one.
-  const auto it = pages_.find(request.page);
-  CCC_CHECK(it != pages_.end(), "ConvexCaching hit on an untracked page");
-  Node& node = nodes_[it->second];
+  Node& node = nodes_[pages_->handle(slot)];
   const double key = fresh_key(node.tenant);
-  if (key == node.key) return;
-  node.key = key;
-  resift(heaps_[node.tenant], node.pos);
-  refresh_tenant(node.tenant);
+  if (key != node.key) {
+    node.key = key;
+    resift(heaps_[node.tenant], node.pos);
+    refresh_tenant(node.tenant);
+  }
+  return pages_->restamp(slot, node.tenant);
+}
+
+TenantId ConvexCachingPolicy::evict(PageId victim) {
+  const std::size_t slot = pages_->find(victim);
+  CCC_CHECK(slot != PageTable::kNoSlot,
+            "ConvexCaching evicting an untracked page");
+  const Handle handle = pages_->handle(slot);
+  const Node& node = nodes_[handle];
+  const TenantId owner = node.tenant;
+  const double victim_budget = effective(node.key, owner);
+  // The dual variable y_t of ALG-CONT rises by exactly B(victim) at this
+  // eviction (DESIGN.md §13); bank it against the victim's owner so the
+  // cost tracker can assemble its online lower bound without re-walking
+  // any state. One add — hits never reach this path.
+  dual_mass_[owner] += victim_budget;
+
+  // Remove the victim's heap entry: the last entry fills its slot.
+  std::vector<Handle>& heap = heaps_[owner];
+  const std::uint32_t pos = node.pos;
+  const Handle last = heap.back();
+  heap.pop_back();
+  if (last != handle) {
+    heap[pos] = last;
+    nodes_[last].pos = pos;
+    resift(heap, pos);
+  }
+  free_.push_back(handle);
+  ++counters_.heap_pops;
+
+  // Fig. 3: debit every surviving page by B(p) — one offset update. A
+  // zero victim budget leaves the offset bit-identical, so survivors'
+  // keys still re-freeze to the same value and their stamps stay fresh.
+  bool offset_moved = false;
+  if (options_.debit_survivors) {
+    offset_ += victim_budget;
+    offset_moved = victim_budget != 0.0;
+  }
+
+  // The victim's tenant just incurred a miss: m(owner) grows, and the
+  // marginal of its *next* miss moves from f'(m+1) to f'(m+2).
+  const double marginal_before = marginal_[owner];
+  ++evictions_[owner];
+  cache_marginal(owner);
+  const double delta = marginal_[owner] - marginal_before;
+  // The bump shifts all of the owner's pages together, so it moves only
+  // the owner's leaf, never the order inside its heap.
+  if (options_.bump_victim_tenant) tenant_bump_[owner] += delta;
+  refresh_tenant(owner);
+  // The owner's re-freeze inputs moved iff its next-marginal value did:
+  // with a zero delta both the marginal and the bump (when enabled) are
+  // bit-identical to before, so the owner's keys still re-freeze exactly
+  // (linear costs hit this on every eviction). With a nonzero delta the
+  // algebraic cancellation (marginal+δ) − (bump+δ) is not FP-bit-exact,
+  // so the owner's stamps must go stale.
+  pages_->erase(slot, owner, offset_moved, delta != 0.0);
+  return owner;
+}
+
+void ConvexCachingPolicy::on_insert(const Request& request, TimeStep time) {
+  maybe_roll_window(time);
+  // Fig. 3: B(p_t) ← f'(m+1). Inserted after the offset/bump updates of the
+  // same step, so the new page is exempt from this step's debit — exactly
+  // the "p' ∉ {p, p_t}" exclusion.
+  const Handle handle =
+      free_.empty() ? static_cast<Handle>(nodes_.size()) : free_.back();
+  pages_->insert(request.page, request.tenant, handle);
+  if (free_.empty())
+    nodes_.emplace_back();
+  else
+    free_.pop_back();
+  std::vector<Handle>& heap = heaps_[request.tenant];
+  const auto pos = static_cast<std::uint32_t>(heap.size());
+  nodes_[handle] = Node{fresh_key(request.tenant), request.page,
+                        request.tenant, pos};
+  heap.push_back(handle);
+  sift_up(heap, pos);
+  refresh_tenant(request.tenant);
+}
+
+void ConvexCachingPolicy::on_hit(const Request& request, TimeStep time) {
+  maybe_roll_window(time);
+  const std::size_t slot = pages_->find(request.page);
+  CCC_CHECK(slot != PageTable::kNoSlot,
+            "ConvexCaching hit on an untracked page");
+  (void)hit(slot);
 }
 
 PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
@@ -216,85 +303,38 @@ PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
 
 void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
                                    TimeStep /*time*/) {
-  const std::optional<Handle> handle = pages_.take(victim);
-  CCC_CHECK(handle.has_value(), "ConvexCaching evicting an untracked page");
-  const Node& node = nodes_[*handle];
-  CCC_CHECK(node.tenant == owner, "ConvexCaching evicting under a wrong owner");
-  const double victim_budget = effective(node.key, owner);
-  // The dual variable y_t of ALG-CONT rises by exactly B(victim) at this
-  // eviction (DESIGN.md §13); bank it against the victim's owner so the
-  // cost tracker can assemble its online lower bound without re-walking
-  // any state. One add — hits never reach this path.
-  dual_mass_[owner] += victim_budget;
-
-  // Remove the victim's heap entry: the last entry fills its slot.
-  std::vector<Handle>& heap = heaps_[owner];
-  const std::uint32_t pos = node.pos;
-  const Handle last = heap.back();
-  heap.pop_back();
-  if (last != *handle) {
-    heap[pos] = last;
-    nodes_[last].pos = pos;
-    resift(heap, pos);
-  }
-  free_.push_back(*handle);
-  ++counters_.heap_pops;
-
-  // Fig. 3: debit every surviving page by B(p) — one offset update. A
-  // zero victim budget leaves the offset bit-identical, so survivors'
-  // keys still re-freeze to the same value: report it as a no-move so the
-  // seqlock mirror keeps every other tenant's stamps fresh.
-  last_evict_moved_offset_ = false;
-  if (options_.debit_survivors) {
-    offset_ += victim_budget;
-    last_evict_moved_offset_ = victim_budget != 0.0;
-  }
-
-  // The victim's tenant just incurred a miss: m(owner) grows, and the
-  // marginal of its *next* miss moves from f'(m+1) to f'(m+2).
-  const double marginal_before = marginal_[owner];
-  ++evictions_[owner];
-  cache_marginal(owner);
-  const double delta = marginal_[owner] - marginal_before;
-  // The owner's re-freeze inputs moved iff its next-marginal value did:
-  // with a zero delta both the marginal and the bump (when enabled) are
-  // bit-identical to before, so the owner's keys still re-freeze exactly
-  // (linear costs hit this on every eviction). With a nonzero delta the
-  // algebraic cancellation (marginal+δ) − (bump+δ) is not FP-bit-exact,
-  // so the owner's stamps must go stale.
-  last_evict_refreshed_tenant_ = delta != 0.0;
-  // The bump shifts all of the owner's pages together, so it moves only
-  // the owner's leaf, never the order inside its heap.
-  if (options_.bump_victim_tenant) tenant_bump_[owner] += delta;
-  refresh_tenant(owner);
+  CCC_CHECK(evict(victim) == owner,
+            "ConvexCaching evicted a page under a wrong owner");
 }
 
-void ConvexCachingPolicy::on_insert(const Request& request, TimeStep time) {
-  maybe_roll_window(time);
-  // Fig. 3: B(p_t) ← f'(m+1). Inserted after the offset/bump updates of the
-  // same step, so the new page is exempt from this step's debit — exactly
-  // the "p' ∉ {p, p_t}" exclusion.
-  const Handle handle =
-      free_.empty() ? static_cast<Handle>(nodes_.size()) : free_.back();
-  CCC_CHECK(pages_.try_emplace(request.page, handle),
-            "ConvexCaching inserting an already tracked page");
-  if (free_.empty())
-    nodes_.emplace_back();
-  else
-    free_.pop_back();
-  std::vector<Handle>& heap = heaps_[request.tenant];
-  const auto pos = static_cast<std::uint32_t>(heap.size());
-  nodes_[handle] = Node{fresh_key(request.tenant), request.page,
-                        request.tenant, pos};
-  heap.push_back(handle);
-  sift_up(heap, pos);
-  refresh_tenant(request.tenant);
+bool ConvexCachingPolicy::step(const Request& request, StepEvent& event) {
+  CCC_REQUIRE(request.tenant < heaps_.size(), "request tenant out of range");
+  CCC_REQUIRE(request.page != PageTable::kEmptySlot,
+              "the page table reserves this page id");
+  event = StepEvent{request, false, {}, {}};
+  const std::size_t slot = pages_->find(request.page);
+  event.hit = slot != PageTable::kNoSlot;
+  if (event.hit) return hit(slot);
+  // Whole-run only, so the hooks' window checks below are no-ops.
+  if (pages_->size() >= capacity_) {
+    event.victim = choose_victim(request, 0);
+    event.victim_owner = evict(*event.victim);
+  }
+  on_insert(request, 0);
+  return false;
+}
+
+void ConvexCachingPolicy::resize(std::size_t capacity, Metrics& metrics) {
+  CCC_REQUIRE(2 * capacity + 2 <= pages_->mask() + 1, "over reset()'s size");
+  capacity_ = capacity;
+  while (pages_->size() > capacity_)
+    metrics.record_eviction(evict(choose_victim(Request{}, 0)));
 }
 
 double ConvexCachingPolicy::budget(PageId page) const {
-  const auto it = pages_.find(page);
-  CCC_REQUIRE(it != pages_.end(), "budget() of a non-resident page");
-  const Node& node = nodes_[it->second];
+  const std::size_t slot = pages_->find(page);
+  CCC_REQUIRE(slot != PageTable::kNoSlot, "budget() of a non-resident page");
+  const Node& node = nodes_[pages_->handle(slot)];
   return effective(node.key, node.tenant);
 }
 

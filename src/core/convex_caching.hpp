@@ -50,12 +50,17 @@
 /// f'(1), so every bump is zero and Fig. 3 is Young's Landlord / GreedyDual
 /// with credit f'_i(1): weighted caching for linear costs, a static
 /// linearization of convex ones (`make_policy("landlord")`).
+///
+/// Residency lives in one page table (seqlock_table.hpp) that the policy
+/// alone writes and the sharded frontend's lock-free readers probe.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "core/seqlock_table.hpp"
 #include "sim/policy.hpp"
-#include "util/flat_map.hpp"
+#include "sim/simulator.hpp"
 
 namespace ccc {
 
@@ -124,6 +129,23 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
     return counters_;
   }
 
+  /// Resident page → heap-node handle. Any thread may call its
+  /// `try_fresh_hit`; it stays put from one reset() to the next.
+  using PageTable = SeqlockResidencyTable<StdAtomics>;
+  [[nodiscard]] const PageTable& page_table() const noexcept {
+    return *pages_;
+  }
+
+  /// One whole-run Fig. 3 request on the hooks' helpers, without a driver
+  /// (the sharded frontend's path). Fills `event`; returns true iff it was
+  /// a hit whose stamp was already current. Windows never roll here.
+  bool step(const Request& request, StepEvent& event);
+
+  /// Sets step()'s capacity, at most reset()'s. A shrink evicts the argmin
+  /// through the eviction path of a miss, charging `metrics`.
+  void resize(std::size_t capacity, Metrics& metrics);
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+
   /// Effective budget of a resident page (test/diagnostic hook).
   [[nodiscard]] double budget(PageId page) const;
 
@@ -156,34 +178,9 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
            options_.debit_survivors && options_.bump_victim_tenant;
   }
 
-  /// Entries in the eviction index — one per resident page (diagnostic).
-  [[nodiscard]] std::size_t index_size() const noexcept {
-    return pages_.size();
-  }
-
   /// The run configuration (audit layer + diagnostics).
   [[nodiscard]] const ConvexCachingOptions& options() const noexcept {
     return options_;
-  }
-
-  // -- per-tenant freshness signals (seqlock residency mirror) --------------
-  //
-  // ShardedCache's lock-free hit path serves a hit without the mutex only
-  // when re-freezing the page's budget would store a bit-identical key
-  // (seqlock_table.hpp). The two signals below report, for the most recent
-  // on_evict, which freshness classes that eviction actually invalidated:
-
-  /// The last eviction shifted the shared survivor-debit offset (victim
-  /// budget ≠ 0 with debiting on) — every tenant's re-freeze value moved.
-  [[nodiscard]] bool last_evict_moved_offset() const noexcept {
-    return last_evict_moved_offset_;
-  }
-  /// The last eviction moved the victim tenant's next-marginal value
-  /// (delta ≠ 0) — only that tenant's re-freeze values moved. Zero-budget,
-  /// zero-delta evictions (generational steady state under linear costs)
-  /// report false on both signals and stale nothing.
-  [[nodiscard]] bool last_evict_refreshed_tenant() const noexcept {
-    return last_evict_refreshed_tenant_;
   }
 
  private:
@@ -195,7 +192,7 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   friend struct AuditTestPeer;
 
   /// Stable index of a resident page's Node while the page stays resident.
-  using Handle = std::uint32_t;
+  using Handle = PageTable::Handle;
 
   /// A resident page: its frozen key, owner, and slot in the owner's heap.
   struct Node {
@@ -230,6 +227,13 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   [[nodiscard]] double fresh_key(TenantId tenant) const {
     return marginal_[tenant] - tenant_bump_[tenant] + offset_;
   }
+
+  // -- Fig. 3 steps, shared by the hooks and step() -------------------------
+
+  /// Refreshes and restamps the page at `slot`; true iff already fresh.
+  bool hit(std::size_t slot);
+  /// Evicts a resident page; returns its owner.
+  TenantId evict(PageId victim);
 
   // -- per-tenant heaps, ordered by (key, page id) --------------------------
 
@@ -277,7 +281,8 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   std::vector<double> marginal_;         ///< f'_i(m_i + 1), cached
   std::vector<std::uint64_t> evictions_; ///< m(i, t)
   std::vector<double> dual_mass_;        ///< Σ B(victim) per victim owner
-  util::FlatMap<Handle> pages_;          ///< resident page → node handle
+  std::optional<PageTable> pages_;       ///< emplaced by reset()
+  std::size_t capacity_ = 0;             ///< step()'s fill limit
   std::vector<Node> nodes_;              ///< handle → node
   std::vector<Handle> free_;             ///< recycled handles
   std::vector<std::vector<Handle>> heaps_;  ///< per-tenant min-heaps
@@ -286,8 +291,6 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   /// Winner tree: tree_[node] is the tenant winning the subtree at `node`
   /// (root 1; children 2n and 2n+1; node ≥ leaves_.size() is a leaf).
   std::vector<TenantId> tree_;
-  bool last_evict_moved_offset_ = false;
-  bool last_evict_refreshed_tenant_ = false;
   std::size_t current_window_ = 0;
   PerfCounters counters_;
 };

@@ -22,7 +22,11 @@ double MonomialCost::value(double x) const {
 
 double MonomialCost::derivative(double x) const {
   CCC_REQUIRE(x >= 0.0, "cost functions are defined on x >= 0");
-  if (x == 0.0) return exponent_ == 1.0 ? scale_ : 0.0;
+  // β ∈ {1, 2} in closed form, bit-identical to the pow() line below
+  // (pow(x, 0) == 1, pow(x, 1) == x) at a fraction of its cost.
+  if (exponent_ == 1.0) return scale_;
+  if (x == 0.0) return 0.0;
+  if (exponent_ == 2.0) return scale_ * exponent_ * x;
   return scale_ * exponent_ * std::pow(x, exponent_ - 1.0);
 }
 

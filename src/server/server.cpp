@@ -673,8 +673,17 @@ std::pair<bool, std::string> CacheServer::debug_hist_json(
   return {true, os.str()};
 }
 
+ServerCounters CacheServer::counters() const noexcept {
+  const auto& c = counters_;  // each conversion is one relaxed load
+  return {c.connections_accepted, c.connections_rejected, c.connections_closed,
+          c.frames, c.requests, c.stats_requests, c.rebalance_requests,
+          c.bad_requests, c.protocol_errors, c.batches, c.bytes_read,
+          c.bytes_written, c.metrics_scrapes, c.debug_requests,
+          c.reads_paused};
+}
+
 void CacheServer::fill_metrics(obs::MetricsRegistry& registry) const {
-  const ServerCounters& c = counters_;
+  const ServerCounters c = counters();
   const auto counter = [&registry](const char* name, const char* help,
                                    std::uint64_t value) {
     registry.set_counter(name, help, {}, static_cast<double>(value));
@@ -856,12 +865,13 @@ void CacheServer::drain_and_exit() {
 
   // 4. Flush the books: one parseable summary line on stdout.
   const Metrics metrics = cache_.aggregated_metrics();
-  std::cout << "ccc-serverd: graceful shutdown — requests="
-            << counters_.requests << " hits=" << metrics.total_hits()
+  const ServerCounters c = counters();
+  std::cout << "ccc-serverd: graceful shutdown — requests=" << c.requests
+            << " hits=" << metrics.total_hits()
             << " misses=" << metrics.total_misses()
             << " evictions=" << metrics.total_evictions()
-            << " connections=" << counters_.connections_accepted
-            << " protocol_errors=" << counters_.protocol_errors
+            << " connections=" << c.connections_accepted
+            << " protocol_errors=" << c.protocol_errors
             << " miss_cost=" << cache_.global_miss_cost() << "\n"
             << std::flush;
 }

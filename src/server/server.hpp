@@ -39,6 +39,7 @@
 /// pending responses under a deadline, prints the books, and run() returns
 /// 0. In-flight pipelined requests are therefore answered, not dropped.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -73,27 +74,28 @@ struct ServerOptions {
   double drain_deadline_seconds = 5.0;
 };
 
-/// Plain counters owned by the event-loop thread. Snapshot via
-/// CacheServer::counters() — exact once run() has returned; advisory (the
-/// loop may be mid-update) while it is still running.
-struct ServerCounters {
-  std::uint64_t connections_accepted = 0;
+/// The server's counters, one `Count` each: the loop thread keeps them
+/// live, and CacheServer::counters() returns a plain ServerCounters.
+template <typename Count>
+struct BasicServerCounters {
+  Count connections_accepted{};
   /// Over max_connections, or shed while the process is out of fds.
-  std::uint64_t connections_rejected = 0;
-  std::uint64_t connections_closed = 0;
-  std::uint64_t frames = 0;           ///< well-formed frames decoded
-  std::uint64_t requests = 0;         ///< GET/SET served through the cache
-  std::uint64_t stats_requests = 0;   ///< STATS frames answered
-  std::uint64_t rebalance_requests = 0;  ///< REBALANCE frames applied
-  std::uint64_t bad_requests = 0;     ///< well-framed but unserviceable
-  std::uint64_t protocol_errors = 0;  ///< framing errors (connection fatal)
-  std::uint64_t batches = 0;          ///< access_batch calls
-  std::uint64_t bytes_read = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t metrics_scrapes = 0;  ///< /metrics responses served
-  std::uint64_t debug_requests = 0;   ///< /debug/* responses served
-  std::uint64_t reads_paused = 0;     ///< backpressure activations
+  Count connections_rejected{};
+  Count connections_closed{};
+  Count frames{};              ///< well-formed frames decoded
+  Count requests{};            ///< GET/SET served through the cache
+  Count stats_requests{};      ///< STATS frames answered
+  Count rebalance_requests{};  ///< REBALANCE frames applied
+  Count bad_requests{};        ///< well-framed but unserviceable
+  Count protocol_errors{};     ///< framing errors (connection fatal)
+  Count batches{};             ///< access_batch calls
+  Count bytes_read{};
+  Count bytes_written{};
+  Count metrics_scrapes{};     ///< /metrics responses served
+  Count debug_requests{};      ///< /debug/* responses served
+  Count reads_paused{};        ///< backpressure activations
 };
+using ServerCounters = BasicServerCounters<std::uint64_t>;
 
 class CacheServer {
  public:
@@ -127,7 +129,8 @@ class CacheServer {
   }
 
   [[nodiscard]] const ShardedCache& cache() const noexcept { return cache_; }
-  [[nodiscard]] ServerCounters counters() const noexcept { return counters_; }
+  /// Safe from any thread; each field is exact once run() has returned.
+  [[nodiscard]] ServerCounters counters() const noexcept;
 
   /// Builds the same registry the /metrics endpoint serializes: server
   /// counters, batch-size/latency and per-connection-lifetime histograms,
@@ -208,7 +211,22 @@ class CacheServer {
   std::vector<std::unique_ptr<Connection>> connections_;
   std::size_t cache_connections_ = 0;
 
-  ServerCounters counters_;
+  /// Written by the loop thread alone, by a relaxed load + store (no
+  /// read-modify-write on the request path); any thread may read it.
+  struct LoopCounter {
+    // Relaxed throughout: one writer, and readers want a recent value of
+    // a monotone tally, not an ordering with other memory.
+    std::atomic<std::uint64_t> value{0};
+    void operator+=(std::uint64_t n) noexcept {
+      value.store(value.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);  // see above
+    }
+    void operator++() noexcept { *this += 1; }
+    operator std::uint64_t() const noexcept {
+      return value.load(std::memory_order_relaxed);  // see above
+    }
+  };
+  BasicServerCounters<LoopCounter> counters_;
   obs::Histogram batch_size_hist_;
   obs::Histogram batch_latency_ns_hist_;
   obs::Histogram connection_requests_hist_;  ///< requests per closed conn

@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "util/check.hpp"
-#include "util/flat_map.hpp"
+#include "util/flat_map.hpp"  // util::splitmix64
 
 namespace ccc {
 
@@ -45,13 +45,6 @@ constexpr std::size_t kSeqlockResumeStreak = 4;
 ///   pressure     3.8 (0–9)           0.02%
 ///   serving      0.1 (0–0)           0.03% (cold-start warm-up only)
 constexpr std::size_t kFanOutMinMisses = 64;
-
-/// Smallest power of two ≥ `n` (and ≥ 16).
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 16;
-  while (p < n) p <<= 1;
-  return p;
-}
 
 }  // namespace
 
@@ -120,7 +113,8 @@ ShardedCache::ShardedCache(ShardedCacheOptions options, PolicyFactory factory,
       even_split(options_.capacity, options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
+    auto shard =
+        std::make_unique<Shard>(options_.num_tenants, options_.step_observer);
     std::unique_ptr<ReplacementPolicy> policy = factory();
     CCC_CHECK(policy != nullptr, "policy factory returned null");
     // Both hit paths serve whole-run ALG-DISCRETE. The optimistic path
@@ -138,28 +132,22 @@ ShardedCache::ShardedCache(ShardedCacheOptions options, PolicyFactory factory,
     CCC_REQUIRE(convex->options().window_length == 0,
                 "ShardedCache is incompatible with windowed accounting "
                 "(window rollovers re-base budgets on hits)");
-    shard->policy.reset(static_cast<ConvexCachingPolicy*>(policy.release()));
-    if (options_.hit_path == HitPath::kSeqlock) {
-      // One table sized for the *total* capacity: rebalancing may hand
-      // this shard (almost) everything, and reallocation would pull the
-      // arrays out from under concurrent lock-free readers. Tenant count
-      // sizes the per-tenant epoch array (per-tenant freshness).
-      shard->table.allocate(pow2_at_least(2 * options_.capacity + 2),
-                            options_.num_tenants);
-    }
     // Value-initialized, so every tally starts at zero.
     shard->lockfree_hits = std::make_unique<std::atomic<std::uint64_t>[]>(
         options_.num_tenants);
-    SimOptions sim_options;
-    sim_options.seed = options_.seed + s;
-    sim_options.step_observer = options_.step_observer;
     {
       // No other thread can reach this shard yet; the lock exists purely
-      // so the thread-safety analysis accepts dereferencing the guarded
-      // policy pointee while wiring it into the session.
+      // so the thread-safety analysis accepts the guarded accesses.
       const util::MutexLock lock(shard->mutex);
-      shard->session = std::make_unique<SimulatorSession>(
-          split[s], options_.num_tenants, *shard->policy, costs_, sim_options);
+      shard->policy.reset(static_cast<ConvexCachingPolicy*>(policy.release()));
+      // Reset at the *total* capacity, so the page table fits any split a
+      // rebalance can hand this shard, then shrink the empty shard.
+      shard->policy->reset({.capacity = options_.capacity,
+                            .num_tenants = options_.num_tenants,
+                            .costs = costs_,
+                            .seed = options_.seed + s});
+      shard->policy->resize(split[s], shard->metrics);
+      shard->table = &shard->policy->page_table();
     }
     shards_.push_back(std::move(shard));
   }
@@ -191,48 +179,37 @@ bool ShardedCache::try_seqlock_hit(Shard& shard, const Request& request,
   // torn, in-progress or ambiguous observation falls back to the mutex —
   // the fallback is always correct, just slower.
   if (request.tenant >= options_.num_tenants) return false;  // locked throw
-  if (!shard.table.try_fresh_hit(request.page, request.tenant)) return false;
+  if (!shard.table->try_fresh_hit(request.page, request.tenant)) return false;
   // Relaxed tally: each slot is written by exactly this kind of
   // increment; aggregation folds it in under the shard mutex, and the
   // count is not part of the protocol's correctness argument.
   shard.lockfree_hits[request.tenant].fetch_add(1,
                                                 std::memory_order_relaxed);
-  event = StepEvent{};
-  event.request = request;
-  event.hit = true;
+  event = StepEvent{request, true, {}, {}};
   return true;
 }
 
-bool ShardedCache::apply_event_seqlock(Shard& shard, const StepEvent& event) {
-  // Writer side (mutex held, so we are the only writer). Three cases:
-  //  hit      — refresh the page's stamp (plain relaxed store; a racing
-  //             reader sees old or new stamp, never an inconsistency).
-  //  insert   — publish stamp *then* key with a release store.
-  //  eviction — the only structural mutation (backward-shift erase moves
-  //             unrelated entries): wrapped in an odd `seq` window so
-  //             every concurrent reader retries via the locked path. The
-  //             policy just ran this eviction synchronously inside
-  //             session->step, so its freshness signals describe exactly
-  //             this event: the table bumps the global epoch only if the
-  //             shared survivor-debit offset moved, and the victim
-  //             tenant's epoch only if that tenant's budgets were
-  //             re-based (delta ≠ 0). Under linear costs at steady state
-  //             both signals are quiet and *no* resident entry goes
-  //             stale — the fix for seqlock over-staling under eviction
-  //             pressure.
-  // Memory-order details and the full argument: seqlock_table.hpp and
-  // DESIGN.md §10.
-  if (event.hit)
-    return shard.table.restamp_hit(event.request.page, event.request.tenant);
-  if (!event.victim.has_value()) {
-    shard.table.publish_insert(event.request.page, event.request.tenant);
-    return false;
+bool ShardedCache::step(Shard& shard, const Request& request,
+                        StepEvent& event) {
+  // The policy publishes its own table writes (seqlock_table.hpp): a
+  // restamp, an erase with its epoch bumps, a stamp-then-key insert.
+  const bool observed = shard.sampler.attached();
+  if (observed) [[unlikely]] shard.sampler.start();
+  const bool fresh = shard.policy->step(request, event);
+  ++shard.requests;
+  if (event.hit) {
+    shard.metrics.record_hit(request.tenant);
+  } else {
+    shard.metrics.record_miss(request.tenant);
+    if (event.victim_owner.has_value())
+      shard.metrics.record_eviction(*event.victim_owner);
   }
-  shard.table.evict_and_insert(*event.victim, event.request.page,
-                               event.request.tenant, *event.victim_owner,
-                               shard.policy->last_evict_moved_offset(),
-                               shard.policy->last_evict_refreshed_tenant());
-  return false;
+  if (observed && shard.sampler.stop(event)) [[unlikely]] {
+    PerfCounters after = shard.policy->perf_counters();
+    after.requests = shard.requests;
+    shard.sampler.report(event, after);
+  }
+  return fresh;
 }
 
 StepEvent ShardedCache::access(const Request& request) {
@@ -271,19 +248,16 @@ std::size_t ShardedCache::process_group(Shard& shard,
     if (j == n) break;
     const util::MutexLock lock(shard.mutex);
     const auto start = SteadyClock::now();
-    const CacheState& cache = shard.session->cache();
     std::size_t fresh_streak = 0;
     for (; j < n && fresh_streak < kSeqlockResumeStreak; ++j) {
-      // Probe-ahead: pull the residency-table line of a request a few
-      // slots ahead while the current one is processed.
+      // Probe-ahead: pull the page-table line of a request a few slots
+      // ahead while the current one is processed.
       if (j + kPrefetchDistance < n)
-        cache.prefetch(batch[idx(j + kPrefetchDistance)].page);
+        shard.table->prefetch(batch[idx(j + kPrefetchDistance)].page);
       StepEvent& event = events != nullptr ? events[idx(j)] : discard;
-      event = shard.session->step(batch[idx(j)]);
+      const bool fresh = step(shard, batch[idx(j)], event);
       misses += event.hit ? 0 : 1;
-      fresh_streak = (lockfree && apply_event_seqlock(shard, event))
-                         ? fresh_streak + 1
-                         : 0;
+      fresh_streak = lockfree && fresh ? fresh_streak + 1 : 0;
     }
     shard.wall_seconds += seconds_since(start);
   }
@@ -368,8 +342,8 @@ Metrics ShardedCache::aggregated_metrics() const {
   Metrics total(options_.num_tenants);
   for (const auto& shard : shards_) {
     const util::MutexLock lock(shard->mutex);
-    total.merge(shard->session->metrics());
-    // Hits served lock-free bypassed the session's books; fold them in so
+    total.merge(shard->metrics);
+    // Hits served lock-free bypassed the shard's books; fold them in so
     // the aggregate equals a locked run's totals per tenant.
     (void)fold_lockfree_hits(*shard, &total);
   }
@@ -380,16 +354,17 @@ PerfCounters ShardedCache::aggregated_perf() const {
   PerfCounters total;
   for (const auto& shard : shards_) {
     const util::MutexLock lock(shard->mutex);
-    PerfCounters perf = shard->session->perf_counters();
-    // The session leaves wall_seconds to its driver; this frontend *is*
-    // the driver and accumulated the in-lock processing time per shard.
-    // (Lock-free hits are not individually timed — the optimistic path
-    // exists precisely to avoid per-request bookkeeping — so under
+    // As SimulatorSession::perf_counters, plus the in-lock processing
+    // time. (Lock-free hits are not individually timed — the optimistic
+    // path exists precisely to avoid per-request bookkeeping — so under
     // kSeqlock the wall time covers the locked residue only; throughput
     // benches time the full loop externally.)
+    PerfCounters perf = shard->policy->perf_counters();
+    perf.requests = shard->requests;
+    perf.evictions = shard->metrics.total_evictions();
     perf.wall_seconds = shard->wall_seconds;
     const std::uint64_t lockfree = fold_lockfree_hits(*shard, nullptr);
-    perf.requests += lockfree;  // the session only counted locked steps
+    perf.requests += lockfree;  // the shard only counted locked steps
     perf.lockfree_hits += lockfree;
     total.merge(perf);
   }
@@ -400,7 +375,7 @@ double ShardedCache::global_miss_cost() const {
   std::vector<std::uint64_t> misses(options_.num_tenants, 0);
   for (const auto& shard : shards_) {
     const util::MutexLock lock(shard->mutex);
-    const Metrics& m = shard->session->metrics();
+    const Metrics& m = shard->metrics;
     for (TenantId t = 0; t < options_.num_tenants; ++t)
       misses[t] += m.misses(t);
   }
@@ -412,10 +387,10 @@ std::vector<ShardStats> ShardedCache::shard_stats() const {
   stats.reserve(shards_.size());
   for (const auto& shard : shards_) {
     const util::MutexLock lock(shard->mutex);
-    const Metrics& m = shard->session->metrics();
+    const Metrics& m = shard->metrics;
     ShardStats s;
-    s.capacity = shard->session->cache().capacity();
-    s.resident = shard->session->cache().size();
+    s.capacity = shard->policy->capacity();
+    s.resident = shard->policy->page_table().size();
     s.hits = m.total_hits() + fold_lockfree_hits(*shard, nullptr);
     s.misses = m.total_misses();
     s.evictions = m.total_evictions();
@@ -441,7 +416,7 @@ std::vector<std::size_t> ShardedCache::capacities() const {
   caps.reserve(shards_.size());
   for (const auto& shard : shards_) {
     const util::MutexLock lock(shard->mutex);
-    caps.push_back(shard->session->cache().capacity());
+    caps.push_back(shard->policy->capacity());
   }
   return caps;
 }
@@ -459,32 +434,14 @@ void ShardedCache::rebalance() {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
     const util::MutexLock lock(shard.mutex);
-    // Resizing may evict (drain a shrinking shard) and in any case re-bases
-    // what "fresh" means, so where a seqlock table exists the resize and
-    // its rebuild (all-stale stamps + epoch bump) share one odd seq
-    // window. Readers retry through the mutex meanwhile.
-    const bool table = shard.table.allocated();
-    if (table) shard.table.open_window();
-    shard.session->resize(split[s]);
-    if (table) {
-      shard.table.rebuild(shard.session->cache().pages());
-      shard.table.close_window();
-    }
+    // A shrink's evictions stale exactly the stamps whose budgets moved; a
+    // grow moves no budget, so every stamp stays as fresh as it was.
+    shard.policy->resize(split[s], shard.metrics);
   }
   if (options_.step_observer != nullptr)
     options_.step_observer->on_rebalance(
         before, split,
         static_cast<std::uint64_t>(seconds_since(start) * 1e9));
-}
-
-// Analysis opt-out: hands out an unlocked reference to guarded state.
-// Documented escape hatch for tests/diagnostics only — the header warns
-// callers not to race a concurrent replay, and every in-tree use inspects
-// a quiescent cache.
-const SimulatorSession& ShardedCache::shard_session(std::size_t shard) const
-    CCC_NO_THREAD_SAFETY_ANALYSIS {
-  CCC_REQUIRE(shard < shards_.size(), "shard index out of range");
-  return *shards_[shard]->session;
 }
 
 }  // namespace ccc

@@ -6,8 +6,10 @@
 ///
 /// Pages are partitioned by a mixed hash of their id; shard s owns the
 /// pages with `shard_of(page) == s` and runs its own whole-run
-/// ALG-DISCRETE instance (Fig. 3, ConvexCachingPolicy) over its own
-/// CacheState, budgets and eviction index, behind a per-shard mutex. The
+/// ALG-DISCRETE instance (Fig. 3, ConvexCachingPolicy) — its page table,
+/// budgets and eviction index — plus its own books, behind a per-shard
+/// mutex. The shard steps the policy directly (ConvexCachingPolicy::step);
+/// SimulatorSession drives only the experiments. The
 /// decomposition is sound for the paper's algorithm because ALG-DISCRETE's
 /// entire state — budgets B(p), per-tenant miss counts m(i), the global
 /// debit offset and the per-tenant bumps — is a function of the requests
@@ -37,10 +39,10 @@
 /// are never nested, so the layer cannot deadlock.
 ///
 /// With `HitPath::kSeqlock` the common case — a hit on a page whose budget
-/// is already current — bypasses the mutex entirely: readers probe a flat
-/// per-shard residency table validated by a per-shard sequence counter and
-/// an eviction epoch, and fall back to the locked path on a torn read, a
-/// miss, or a stale budget stamp. Sound because such a "fresh" hit is a
+/// is already current — bypasses the mutex entirely: readers probe the
+/// policy's own page table, validated by its sequence counter and eviction
+/// epochs, and fall back to the locked path on a torn read, a miss, or a
+/// stale budget stamp. Sound because such a "fresh" hit is a
 /// pure state no-op in whole-run ALG-DISCRETE — the one policy this
 /// frontend serves, on either hit path (checked at construction);
 /// DESIGN.md §10 gives the full argument and the memory-order recipe.
@@ -53,7 +55,6 @@
 
 #include "core/convex_caching.hpp"
 #include "shard/drain_crew.hpp"
-#include "shard/seqlock_table.hpp"
 #include "sim/simulator.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -95,7 +96,7 @@ struct ShardedCacheOptions {
   std::size_t capacity = 0;    ///< total pages summed across shards
   std::size_t num_shards = 1;
   std::uint32_t num_tenants = 0;
-  /// Shard s hands seed + s to its session's PolicyContext. ALG-DISCRETE
+  /// Shard s hands seed + s to its policy's PolicyContext. ALG-DISCRETE
   /// draws no randomness, so no shard's decisions depend on it.
   std::uint64_t seed = 1;
   /// Capacity floor per shard enforced by rebalance().
@@ -227,43 +228,37 @@ class ShardedCache {
   /// Recomputes the capacity split from the per-shard miss counts
   /// (miss_rate_split, floored at `min_shard_capacity`) and applies it:
   /// growing shards just get headroom, shrinking shards drain immediately
-  /// through their policy's eviction path (see
-  /// SimulatorSession::resize). Data-race-free against concurrent access
-  /// in both hit-path modes (each shard is resized under its mutex, and
-  /// under kSeqlock the table rebuild sits inside an odd seq window so
-  /// lock-free readers retry); note the split is computed from a
-  /// moment-in-time stats snapshot, so concurrent traffic can make it
-  /// mildly stale — harmless, the next rebalance catches up.
+  /// through their policy's eviction path (ConvexCachingPolicy::resize).
+  /// Data-race-free against concurrent access in both hit-path modes (each
+  /// shard is resized under its mutex, each erase in an odd seq window);
+  /// the split is computed from a moment-in-time stats snapshot, so
+  /// concurrent traffic can make it mildly stale — harmless, the next
+  /// rebalance catches up.
   void rebalance();
 
-  /// Read-only view of one shard's session (tests / diagnostics; take care
-  /// not to race a concurrent replay).
-  [[nodiscard]] const SimulatorSession& shard_session(std::size_t shard) const;
-
  private:
+  friend struct ShardedCacheTestPeer;
+
   struct Shard {
-    /// Policy and session state is mutated only under `mutex` — the
-    /// pt_guarded_by annotations make the analysis reject any unlocked
-    /// dereference (the pointers themselves are set once at construction
-    /// and never reseated). The policy is read right after each locked
-    /// step for the freshness signals its eviction raised — whether the
-    /// shared offset moved and whether the victim tenant's budgets were
-    /// re-based — so evict_and_insert stales exactly the entries whose
-    /// effective budgets changed.
+    Shard(std::uint32_t num_tenants, StepObserver* observer)
+        : metrics(num_tenants), sampler(observer) {}
+
+    /// Policy and books are touched only under `mutex` (the policy pointer
+    /// is set once at construction and never reseated).
     std::unique_ptr<ConvexCachingPolicy> policy CCC_PT_GUARDED_BY(mutex);
-    std::unique_ptr<SimulatorSession> session CCC_PT_GUARDED_BY(mutex);
+    Metrics metrics CCC_GUARDED_BY(mutex);
+    /// Requests served under the lock (lock-free hits are counted apart).
+    std::uint64_t requests CCC_GUARDED_BY(mutex) = 0;
+    StepSampler sampler CCC_GUARDED_BY(mutex);
     /// Time spent processing this shard's requests (timed per locked run,
     /// so batched ingestion amortizes the clock reads). Summed by
     /// aggregated_perf().
     double wall_seconds CCC_GUARDED_BY(mutex) = 0.0;
     mutable util::Mutex mutex;
 
-    /// Lock-free residency mirror (protocol lives in seqlock_table.hpp),
-    /// allocated only under HitPath::kSeqlock: readers probe it with no
-    /// lock; all writer-side members are called only while holding
-    /// `mutex` (single writer). Sized once at ≥ 2x the *total* capacity so
-    /// rebalancing never reallocates under a concurrent reader.
-    SeqlockResidencyTable<StdAtomics> table;
+    /// The policy's page table, probed lock-free under kSeqlock; sized once
+    /// for the *total* capacity, so it never reallocates under a reader.
+    const ConvexCachingPolicy::PageTable* table = nullptr;
     /// Per-tenant hits served lock-free (folded into metrics/perf on
     /// aggregation; never written by the locked path).
     std::unique_ptr<std::atomic<std::uint64_t>[]> lockfree_hits;
@@ -280,11 +275,10 @@ class ShardedCache {
   /// about which side of the protocol this is).
   bool try_seqlock_hit(Shard& shard, const Request& request,
                        StepEvent& event) const CCC_EXCLUDES(shard.mutex);
-  /// Mirrors one locked step's outcome into the shard's residency table.
-  /// Returns true iff the event was a hit whose stamp was already current
-  /// — i.e. the optimistic path would have served it; process_group uses
-  /// that as its resume signal.
-  bool apply_event_seqlock(Shard& shard, const StepEvent& event)
+  /// One locked Fig. 3 step, its books and its observer sample. Returns
+  /// true iff the request was a hit whose stamp was already current — the
+  /// optimistic path would have served it; process_group's resume signal.
+  static bool step(Shard& shard, const Request& request, StepEvent& event)
       CCC_REQUIRES(shard.mutex);
   /// The one request path: processes one shard's slice of a batch in
   /// submission order, as alternating runs — a lock-free run of fresh hits,

@@ -20,9 +20,4 @@ void CacheState::insert(PageId page, TenantId tenant) {
   CCC_REQUIRE(resident_.try_emplace(page, tenant), "page is already resident");
 }
 
-void CacheState::set_capacity(std::size_t capacity) {
-  CCC_REQUIRE(capacity > 0, "cache capacity must be positive");
-  capacity_ = capacity;
-}
-
 }  // namespace ccc

@@ -36,16 +36,6 @@ class CacheState {
     return resident_.take(page);
   }
 
-  /// Changes the capacity (shard rebalancing). The resident set is left
-  /// untouched, so after a shrink `size()` may temporarily exceed the new
-  /// capacity; the owner must drain via take() before the next insert()
-  /// (SimulatorSession::resize does exactly that).
-  void set_capacity(std::size_t capacity);
-
-  /// Hint that `page` is about to be probed (batch probe-ahead). Touches
-  /// only the hash-table key line; a no-op on unknown compilers.
-  void prefetch(PageId page) const { resident_.prefetch(page); }
-
   /// Resident pages and their owners (iteration order unspecified).
   [[nodiscard]] const util::FlatMap<TenantId>& pages() const noexcept {
     return resident_;

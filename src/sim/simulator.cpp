@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "util/check.hpp"
@@ -13,15 +12,10 @@ SimulatorSession::SimulatorSession(std::size_t capacity,
                                    const std::vector<CostFunctionPtr>* costs,
                                    SimOptions options)
     : cache_(capacity), metrics_(num_tenants), policy_(policy),
-      auditor_(options.auditor), observer_(options.step_observer) {
+      auditor_(options.auditor), sampler_(options.step_observer) {
   if (costs != nullptr)
     CCC_REQUIRE(costs->size() >= num_tenants,
                 "need one cost function per tenant");
-  if (observer_ != nullptr) {
-    observer_period_ = std::max<std::uint64_t>(
-        1, observer_->latency_sample_period());
-    observer_countdown_ = 1;  // time the very first step
-  }
   PolicyContext ctx;
   ctx.capacity = capacity;
   ctx.num_tenants = num_tenants;
@@ -35,39 +29,20 @@ SimulatorSession::SimulatorSession(std::size_t capacity,
 StepEvent SimulatorSession::step(const Request& request) {
   // [[unlikely]] keeps step_observed out of line; inlined, its stack frame
   // would be set up on the unobserved path too (~1-2% on e6 cells).
-  if (observer_ != nullptr) [[unlikely]] return step_observed(request);
+  if (sampler_.attached()) [[unlikely]] return step_observed(request);
   return step_impl(request);
 }
 
 StepEvent SimulatorSession::step_observed(const Request& request) {
-  // The observer is invoked only on eviction steps and latency-sampled
-  // steps; a hit-path step pays one countdown decrement and a branch.
-  // `observer_last_` carries the policy counters from the previous
-  // invocation, so deltas bracket the whole gap and counter totals stay
-  // exact. Per-eviction index work stays exact too: heap_pops and
-  // stale_skips only move on eviction steps, every one of which is
-  // observed. (The *policy's* counters, not the session-level
-  // perf_counters() — that one derives its evictions field by summing
-  // per-tenant metrics, which is O(tenants) and ruinous per step.)
-  std::uint64_t latency_ns = 0;
-  StepEvent event;
-  const bool sampled = (--observer_countdown_ == 0);
-  if (sampled) {
-    observer_countdown_ = observer_period_;
-    const auto start = std::chrono::steady_clock::now();
-    event = step_impl(request);
-    const auto stop = std::chrono::steady_clock::now();
-    latency_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-            .count());
-  } else {
-    event = step_impl(request);
-  }
-  if (sampled || event.victim.has_value()) {
+  sampler_.start();
+  StepEvent event = step_impl(request);
+  if (sampler_.stop(event)) {
+    // The *policy's* counters, not perf_counters(): that one derives its
+    // evictions field by summing per-tenant metrics, which is O(tenants)
+    // and ruinous per step.
     PerfCounters after = policy_.perf_counters();
     after.requests = time_;
-    observer_->on_step(event, latency_ns, observer_last_, after);
-    observer_last_ = after;
+    sampler_.report(event, after);
   }
   return event;
 }
@@ -119,17 +94,6 @@ PerfCounters SimulatorSession::perf_counters() const {
   perf.requests = time_;
   perf.evictions = metrics_.total_evictions();
   return perf;
-}
-
-void SimulatorSession::resize(std::size_t new_capacity) {
-  cache_.set_capacity(new_capacity);
-  while (cache_.size() > new_capacity) {
-    const PageId victim = policy_.choose_victim(Request{0, 0}, time_);
-    const std::optional<TenantId> owner = cache_.take(victim);
-    CCC_CHECK(owner.has_value(), "policy chose a non-resident victim");
-    metrics_.record_eviction(*owner);
-    policy_.on_evict(victim, *owner, time_);
-  }
 }
 
 void SimulatorSession::invalidate(PageId page) {

@@ -6,6 +6,8 @@
 ///        event schedule consumed by the primal–dual machinery and the
 ///        convex-program evaluator.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -56,8 +58,8 @@ class PolicyAuditor {
 
 /// Observability hook observed by the simulator (the `src/obs` subsystem
 /// implements it — see `obs::SimObserver`). Like `PolicyAuditor`, it is
-/// attached at runtime (`SimOptions::step_observer`); an unobserved session
-/// pays one predictable branch per step and otherwise runs `step_impl`.
+/// attached at runtime (`SimOptions::step_observer`, or one per shard); an
+/// unobserved driver pays one predictable branch per step.
 class StepObserver {
  public:
   virtual ~StepObserver() = default;
@@ -97,6 +99,53 @@ class StepObserver {
   [[nodiscard]] virtual std::uint64_t latency_sample_period() const noexcept {
     return 1;
   }
+};
+
+/// StepObserver sampling for one driver's request stream (a
+/// SimulatorSession or one ShardedCache shard). Around each step: start(),
+/// the step, then report() if stop() says the observer wants it — a
+/// sampled or an evicting step. Other steps cost a decrement and a branch.
+class StepSampler {
+ public:
+  explicit StepSampler(StepObserver* observer = nullptr)
+      : observer_(observer),
+        period_(observer != nullptr
+                    ? std::max<std::uint64_t>(
+                          1, observer->latency_sample_period())
+                    : 1) {}
+
+  [[nodiscard]] bool attached() const noexcept { return observer_ != nullptr; }
+
+  void start() {
+    sampled_ = --countdown_ == 0;  // the very first step is sampled
+    if (!sampled_) return;
+    countdown_ = period_;
+    start_ = std::chrono::steady_clock::now();
+  }
+
+  [[nodiscard]] bool stop(const StepEvent& event) {
+    latency_ns_ = 0;
+    if (sampled_)
+      latency_ns_ = static_cast<std::uint64_t>(
+          std::chrono::nanoseconds(std::chrono::steady_clock::now() - start_)
+              .count());
+    return sampled_ || event.victim.has_value();
+  }
+
+  /// `after`: the policy counters now, requests included.
+  void report(const StepEvent& event, const PerfCounters& after) {
+    observer_->on_step(event, latency_ns_, last_, after);
+    last_ = after;
+  }
+
+ private:
+  StepObserver* observer_;
+  std::uint64_t period_;         ///< cached latency_sample_period()
+  std::uint64_t countdown_ = 1;  ///< steps until the next timed one
+  bool sampled_ = false;
+  std::chrono::steady_clock::time_point start_;
+  std::uint64_t latency_ns_ = 0;
+  PerfCounters last_;            ///< counters at the last report
 };
 
 struct SimOptions {
@@ -143,14 +192,6 @@ class SimulatorSession {
   /// eviction. Throws if the page is not resident.
   void invalidate(PageId page);
 
-  /// Changes the cache capacity mid-run (shard rebalancing). Growing is
-  /// free; shrinking drains the excess immediately by asking the policy for
-  /// victims with a sentinel `Request{0, 0}` — sound for every policy whose
-  /// choose_victim ignores the incoming request (all built-ins except ARC
-  /// and the static partitioner, which only use it as a routing hint).
-  /// Evictions performed here are recorded in the metrics like any other.
-  void resize(std::size_t new_capacity);
-
   [[nodiscard]] const CacheState& cache() const noexcept { return cache_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] TimeStep now() const noexcept { return time_; }
@@ -163,19 +204,14 @@ class SimulatorSession {
   /// The unobserved request path; step() forwards here directly unless an
   /// observer is attached.
   StepEvent step_impl(const Request& request);
-  /// The observed wrapper: invokes the observer on eviction steps and
-  /// every `observer_period_`-th (wall-clock-timed) step, passing the
-  /// policy counters accumulated since the previous invocation.
+  /// The observed wrapper: step_impl under the sampler.
   StepEvent step_observed(const Request& request);
 
   CacheState cache_;
   Metrics metrics_;
   ReplacementPolicy& policy_;
   PolicyAuditor* auditor_ = nullptr;
-  StepObserver* observer_ = nullptr;
-  std::uint64_t observer_period_ = 1;    ///< cached latency_sample_period()
-  std::uint64_t observer_countdown_ = 1; ///< steps until the next timed one
-  PerfCounters observer_last_;           ///< counters at the last on_step
+  StepSampler sampler_;
   TimeStep time_ = 0;
 };
 

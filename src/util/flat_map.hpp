@@ -216,16 +216,6 @@ class FlatMap {
     erase_at(it.slot_);
   }
 
-  /// Hint the cache that `key`'s home slot will be probed soon.
-  void prefetch(key_type key) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (!keys_.empty())
-      __builtin_prefetch(keys_.data() + (splitmix64(key) & mask_));
-#else
-    (void)key;
-#endif
-  }
-
   [[nodiscard]] iterator begin() {
     iterator it(this, 0);
     it.skip_empty();

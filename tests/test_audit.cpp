@@ -46,7 +46,7 @@ struct AuditTestPeer {
     p.evictions_[tenant] += delta;
   }
   static void drop_page_tracking(ConvexCachingPolicy& p, PageId page) {
-    p.pages_.erase(page);
+    p.pages_->erase(p.pages_->find(page), 0, false, false);
   }
   /// A tenant whose heap holds at least `size` entries.
   static TenantId tenant_with(const ConvexCachingPolicy& p, std::size_t size) {

@@ -1,7 +1,11 @@
 // Unit + property tests for the cost-function hierarchy (src/cost).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 
 #include "cost/combinators.hpp"
 #include "cost/cost_function.hpp"
@@ -48,6 +52,55 @@ TEST(MonomialCost, RejectsInvalidParameters) {
 TEST(MonomialCost, DerivativeAtZero) {
   EXPECT_DOUBLE_EQ(MonomialCost(1.0, 3.0).derivative(0.0), 3.0);
   EXPECT_DOUBLE_EQ(MonomialCost(2.0).derivative(0.0), 0.0);
+}
+
+// MonomialCost::derivative evaluates β ∈ {1, 2} in closed form. Pin it
+// bit for bit against the pow() form it replaced, c·β·pow(x, β − 1) (with
+// the old x = 0 branch), on every integer up to 2·10⁷, every power of two
+// and both its neighbours, ±0, and 2·10⁷ random finite non-negative
+// doubles; β = 3 still runs the pow() form and is the control.
+TEST(MonomialCost, ClosedFormDerivativeIsBitIdenticalToPow) {
+  const double scale = 1.75;
+  const MonomialCost fs[] = {MonomialCost(1.0, scale), MonomialCost(2.0, scale),
+                             MonomialCost(3.0, scale)};
+  std::uint64_t checked = 0;
+  std::uint64_t mismatches = 0;
+  double first = 0.0;
+  const auto check = [&](double x) {
+    for (const MonomialCost& f : fs) {
+      const double beta = f.exponent();
+      const double pow_form =
+          x == 0.0 ? (beta == 1.0 ? scale : 0.0)
+                   : scale * beta * std::pow(x, beta - 1.0);
+      if (std::bit_cast<std::uint64_t>(f.derivative(x)) !=
+          std::bit_cast<std::uint64_t>(pow_form)) {
+        if (mismatches++ == 0) first = x;
+      }
+    }
+    ++checked;
+  };
+
+  for (std::uint32_t i = 0; i <= 20'000'000; ++i)
+    check(static_cast<double>(i));
+  check(-0.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double p = std::numeric_limits<double>::denorm_min(); p < kInf;
+       p *= 2.0) {
+    check(std::nextafter(p, 0.0));
+    check(p);
+    check(std::nextafter(p, kInf));
+  }
+  // Uniform over bit patterns with the sign cleared: every binade of the
+  // finite range, subnormals included.
+  std::mt19937_64 rng(2015);
+  for (std::uint32_t n = 0; n < 20'000'000;) {
+    const double x = std::bit_cast<double>(rng() >> 1);
+    if (!std::isfinite(x)) continue;
+    check(x);
+    ++n;
+  }
+  EXPECT_EQ(checked, 40'000'001u + 1u + 3u * 2098u);
+  EXPECT_EQ(mismatches, 0u) << "first at x = " << first;
 }
 
 TEST(PolynomialCost, HornerEvaluation) {

@@ -371,7 +371,7 @@ TEST(EvictionIndexCompaction, HitHeavyStreamStaysBounded) {
   ConvexCachingPolicy policy;
   const SimResult result = run_trace(trace, 8, policy, &costs);
   EXPECT_EQ(result.perf.index_rebuilds, 0u);
-  EXPECT_EQ(policy.index_size(), 8u);
+  EXPECT_EQ(policy.page_table().size(), 8u);
   EXPECT_EQ(result.metrics.total_hits() + result.metrics.total_misses(),
             trace.size());
 }

@@ -1,6 +1,5 @@
 // Tests for util::FlatMap — the open-addressing residency table behind
-// ConvexCachingPolicy::pages_, NaiveConvexCachingPolicy::slot_of_ and
-// CacheState::resident_.
+// NaiveConvexCachingPolicy::slot_of_ and CacheState::resident_.
 //
 // The centerpiece is a randomized differential suite against
 // std::unordered_map over insert/assign/erase/lookup histories heavy enough
@@ -274,14 +273,6 @@ TEST(FlatMapApi, SubscriptDefaultConstructs) {
   map[8].push_back(2);
   EXPECT_EQ(map.at(8).size(), 2u);
   EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(FlatMapApi, PrefetchIsHarmless) {
-  Map map;
-  map.prefetch(42);  // empty map: must not touch anything
-  map.insert_or_assign(42, 1);
-  map.prefetch(42);
-  EXPECT_EQ(map.at(42), 1u);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 //
 // The scripts use hash-colliding page ids so eviction's backward-shift
 // erase really moves entries between slots — that mid-window motion is
-// the torn-read surface the mutations expose.
+// the torn-read surface the mutations expose. The harness also checks,
+// after every writer op, that each resident page's slot still holds the
+// node handle it was published with.
 //
 // Two reorderings named in the protocol discussion — publishing the key
 // before the stamp, and probing keys with relaxed instead of acquire
@@ -72,15 +74,21 @@ SeqlockCheckResult run_restamp_then_evict() {
   return harness.check(ids);
 }
 
-// Script 3 — rebalance-style rebuild: survivors republished with stale
-// stamps inside one caller-driven window.
+// Script 3 — capacity shrink: erase-only evictions with no fetched page,
+// as a rebalance runs them. The first erase shifts both colliding
+// survivors (and their handles) back a slot and re-bases only its own
+// tenant, which has no survivor; the second moves the shared offset, so
+// the last survivor — of the victim's tenant, whose own epoch does not
+// move — ends resident and stale through the global epoch alone.
 template <SeqlockConfig Config>
-SeqlockCheckResult run_rebuild() {
-  const std::vector<std::uint64_t> ids = colliding_pages(2, kMask);
+SeqlockCheckResult run_shrink() {
+  const std::vector<std::uint64_t> ids = colliding_pages(3, kMask);
   SeqlockModelHarness<Config> harness(kTableSize);
-  harness.fill(ids[0]);
-  harness.fill(ids[1]);
-  harness.rebuild({ids[0], ids[1]});
+  harness.fill(ids[0], /*tenant=*/0);
+  harness.fill(ids[1], /*tenant=*/1);
+  harness.fill(ids[2], /*tenant=*/1);
+  harness.erase(ids[0], /*offset_moved=*/false, /*victim_refreshed=*/true);
+  harness.erase(ids[1], /*offset_moved=*/true, /*victim_refreshed=*/false);
   return harness.check(ids);
 }
 
@@ -134,7 +142,7 @@ SeqlockCheckResult run_nothing_stales() {
 template <SeqlockConfig Config>
 std::vector<SeqlockCheckResult> run_all_scripts() {
   return {run_fill_evict<Config>(),        run_restamp_then_evict<Config>(),
-          run_rebuild<Config>(),           run_evict_then_fill<Config>(),
+          run_shrink<Config>(),            run_evict_then_fill<Config>(),
           run_tenant_refresh_only<Config>(), run_nothing_stales<Config>()};
 }
 
@@ -267,6 +275,7 @@ TEST(SeqlockModelHarnessTest, ScriptMisuseIsRejected) {
   harness.fill(ids[0]);
   EXPECT_THROW(harness.restamp(ids[1]), std::logic_error);  // not resident
   EXPECT_THROW(harness.evict(ids[1], ids[0]), std::logic_error);
+  EXPECT_THROW(harness.erase(ids[1]), std::logic_error);
 }
 
 }  // namespace

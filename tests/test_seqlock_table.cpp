@@ -1,7 +1,8 @@
 // Direct single-threaded coverage of SeqlockResidencyTable over the
 // production StdAtomics policy: the per-tenant freshness semantics (which
-// evictions stale whom), the writer-side resume signal, allocation
-// validation, and the observable behavior of the SeqlockConfig ablations
+// evictions stale whom), the writer-side resume signal, the handle column
+// through backward-shift erases, allocation validation, and the
+// observable behavior of the SeqlockConfig ablations
 // that ship only inside the model checker's mutation suite. The
 // concurrency of the protocol is proven elsewhere (the exhaustive checker
 // in test_seqlock_model.cpp and the TSan stress in test_sharded_cache.cpp);
@@ -12,10 +13,9 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
-#include "shard/seqlock_table.hpp"
+#include "core/seqlock_table.hpp"
 
 namespace ccc {
 namespace {
@@ -26,6 +26,24 @@ constexpr SeqlockConfig kNoTenantBump{.bump_tenant_epoch = false};
 constexpr SeqlockConfig kNoTenantStamp{.stamp_tenant_epoch = false};
 
 using Table = SeqlockResidencyTable<StdAtomics>;
+
+/// Publishes `page` as the policy's insert does, with the page id as its
+/// handle.
+template <typename T>
+void fill(T& table, std::uint64_t page, std::uint32_t tenant) {
+  table.insert(page, tenant, static_cast<std::uint32_t>(page));
+}
+
+/// The policy's evicting miss: erase the victim (and bump what its
+/// eviction moved), then publish the fetched page.
+template <typename T>
+void evict(T& table, std::uint64_t victim, std::uint32_t victim_tenant,
+           std::uint64_t page, std::uint32_t page_tenant, bool offset_moved,
+           bool victim_refreshed) {
+  table.erase(table.find(victim), victim_tenant, offset_moved,
+              victim_refreshed);
+  fill(table, page, page_tenant);
+}
 
 TEST(SeqlockTable, AllocateValidatesItsArguments) {
   Table not_pow2;
@@ -40,12 +58,22 @@ TEST(SeqlockTable, AllocateValidatesItsArguments) {
   EXPECT_THROW(once.allocate(16, 2), std::logic_error);
 }
 
+TEST(SeqlockTable, InsertRejectsTheReservedKeyAndResidentPages) {
+  Table table;
+  table.allocate(16, 1);
+  EXPECT_THROW(fill(table, Table::kEmptySlot, 0), std::invalid_argument);
+  EXPECT_EQ(table.find(Table::kEmptySlot), Table::kNoSlot);
+  fill(table, 7, 0);
+  EXPECT_THROW(fill(table, 7, 0), std::logic_error);
+  EXPECT_EQ(table.size(), 1u);
+}
+
 TEST(SeqlockTable, TenantRefreshOnlyEvictionStalesOnlyTheVictimTenant) {
   Table table;
   table.allocate(16, 2);
-  table.publish_insert(/*page=*/1, /*tenant=*/0);
-  table.publish_insert(/*page=*/2, /*tenant=*/0);
-  table.publish_insert(/*page=*/3, /*tenant=*/1);
+  fill(table, /*page=*/1, /*tenant=*/0);
+  fill(table, /*page=*/2, /*tenant=*/0);
+  fill(table, /*page=*/3, /*tenant=*/1);
   EXPECT_TRUE(table.try_fresh_hit(1, 0));
   EXPECT_TRUE(table.try_fresh_hit(2, 0));
   EXPECT_TRUE(table.try_fresh_hit(3, 1));
@@ -54,9 +82,9 @@ TEST(SeqlockTable, TenantRefreshOnlyEvictionStalesOnlyTheVictimTenant) {
   // Zero-budget eviction whose marginal delta re-based tenant 0's
   // budgets: the shared offset never moved, so tenant 1 must keep its
   // lock-free service while tenant 0's survivor goes stale.
-  table.evict_and_insert(/*victim=*/1, /*page=*/4, /*page_tenant=*/0,
-                         /*victim_tenant=*/0, /*offset_moved=*/false,
-                         /*victim_refreshed=*/true);
+  evict(table, /*victim=*/1, /*victim_tenant=*/0, /*page=*/4,
+        /*page_tenant=*/0, /*offset_moved=*/false,
+        /*victim_refreshed=*/true);
   EXPECT_FALSE(table.try_fresh_hit(1, 0));  // evicted
   EXPECT_FALSE(table.try_fresh_hit(2, 0));  // victim tenant: re-based
   EXPECT_TRUE(table.try_fresh_hit(3, 1));   // other tenant: untouched
@@ -64,23 +92,22 @@ TEST(SeqlockTable, TenantRefreshOnlyEvictionStalesOnlyTheVictimTenant) {
 
   // Writer resume signal: the first locked restamp reports the stamp was
   // stale, the second reports it was already current.
-  EXPECT_FALSE(table.restamp_hit(2, 0));
-  EXPECT_TRUE(table.restamp_hit(2, 0));
+  EXPECT_FALSE(table.restamp(table.find(2), 0));
+  EXPECT_TRUE(table.restamp(table.find(2), 0));
   EXPECT_TRUE(table.try_fresh_hit(2, 0));
 }
 
 TEST(SeqlockTable, OffsetMovingEvictionStalesEveryTenant) {
   Table table;
   table.allocate(16, 2);
-  table.publish_insert(1, 0);
-  table.publish_insert(2, 0);
-  table.publish_insert(3, 1);
+  fill(table, 1, 0);
+  fill(table, 2, 0);
+  fill(table, 3, 1);
 
   // Nonzero victim budget: the survivor debit shifted the shared offset,
   // so *every* tenant's re-freeze value changed.
-  table.evict_and_insert(/*victim=*/1, /*page=*/4, /*page_tenant=*/1,
-                         /*victim_tenant=*/0, /*offset_moved=*/true,
-                         /*victim_refreshed=*/true);
+  evict(table, /*victim=*/1, /*victim_tenant=*/0, /*page=*/4,
+        /*page_tenant=*/1, /*offset_moved=*/true, /*victim_refreshed=*/true);
   EXPECT_FALSE(table.try_fresh_hit(2, 0));
   EXPECT_FALSE(table.try_fresh_hit(3, 1));
   EXPECT_TRUE(table.try_fresh_hit(4, 1));
@@ -89,76 +116,101 @@ TEST(SeqlockTable, OffsetMovingEvictionStalesEveryTenant) {
 TEST(SeqlockTable, GenerationalEvictionStalesNothing) {
   Table table;
   table.allocate(16, 2);
-  table.publish_insert(1, 0);
-  table.publish_insert(2, 0);
-  table.publish_insert(3, 1);
+  fill(table, 1, 0);
+  fill(table, 2, 0);
+  fill(table, 3, 1);
 
   // The over-staling fix: a zero-budget eviction with a flat marginal
   // (linear costs at steady state) leaves every survivor fresh —
   // including the victim's own tenant.
-  table.evict_and_insert(/*victim=*/1, /*page=*/4, /*page_tenant=*/0,
-                         /*victim_tenant=*/0, /*offset_moved=*/false,
-                         /*victim_refreshed=*/false);
+  evict(table, /*victim=*/1, /*victim_tenant=*/0, /*page=*/4,
+        /*page_tenant=*/0, /*offset_moved=*/false,
+        /*victim_refreshed=*/false);
   EXPECT_FALSE(table.try_fresh_hit(1, 0));  // the victim itself left
   EXPECT_TRUE(table.try_fresh_hit(2, 0));   // victim's tenant stays fresh
   EXPECT_TRUE(table.try_fresh_hit(3, 1));
   EXPECT_TRUE(table.try_fresh_hit(4, 0));
 }
 
-TEST(SeqlockTable, RebuildStalesEverythingUntilRestamped) {
+TEST(SeqlockTable, EraseOnlyShrinkStalesWhatItMovedAndKeepsHandles) {
   Table table;
   table.allocate(16, 2);
-  table.publish_insert(1, 0);
-  table.publish_insert(2, 1);
+  // Four pages sharing one home slot, so each erase backward-shifts the
+  // rest of the chain — handles included.
+  std::vector<std::uint64_t> chain;
+  const std::size_t home = util::splitmix64(1) & table.mask();
+  for (std::uint64_t id = 1; chain.size() < 4; ++id)
+    if ((util::splitmix64(id) & table.mask()) == home) chain.push_back(id);
+  for (std::size_t i = 0; i < chain.size(); ++i)
+    fill(table, chain[i], static_cast<std::uint32_t>(i % 2));
+  const auto handles_follow_pages = [&table, &chain](std::size_t from) {
+    for (std::size_t i = from; i < chain.size(); ++i) {
+      const std::size_t slot = table.find(chain[i]);
+      ASSERT_NE(slot, Table::kNoSlot);
+      EXPECT_EQ(table.handle(slot), static_cast<std::uint32_t>(chain[i]));
+    }
+  };
 
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>> survivors = {
-      {1, 0}, {2, 0}};
-  table.open_window();
-  table.rebuild(survivors);
-  table.close_window();
-  // Rebuild stamps the bare pre-bump epoch, then bumps: stale for every
-  // tenant without any per-entry tenant lookup.
-  EXPECT_FALSE(table.try_fresh_hit(1, 0));
-  EXPECT_FALSE(table.try_fresh_hit(2, 1));
-  EXPECT_FALSE(table.restamp_hit(1, 0));
-  EXPECT_TRUE(table.try_fresh_hit(1, 0));
-  EXPECT_FALSE(table.try_fresh_hit(2, 1));  // still stale until restamped
+  // A shrink's eviction with nothing moved (zero budget, flat marginal)
+  // stales nothing, though the survivors changed slots.
+  table.erase(table.find(chain[0]), 0, /*offset_moved=*/false,
+              /*tenant_refreshed=*/false);
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.find(chain[0]), Table::kNoSlot);
+  handles_follow_pages(1);
+  EXPECT_TRUE(table.try_fresh_hit(chain[1], 1));
+  EXPECT_TRUE(table.try_fresh_hit(chain[2], 0));
+
+  // One that moved the shared offset stales every survivor until a
+  // locked hit restamps it.
+  table.erase(table.find(chain[1]), 1, /*offset_moved=*/true,
+              /*tenant_refreshed=*/true);
+  handles_follow_pages(2);
+  EXPECT_FALSE(table.try_fresh_hit(chain[2], 0));
+  EXPECT_FALSE(table.try_fresh_hit(chain[3], 1));
+  EXPECT_FALSE(table.restamp(table.find(chain[2]), 0));
+  EXPECT_TRUE(table.try_fresh_hit(chain[2], 0));
+  EXPECT_FALSE(table.try_fresh_hit(chain[3], 1));  // still stale
+
+  std::size_t visited = 0;
+  table.for_each([&](std::uint64_t page, std::uint32_t handle) {
+    EXPECT_EQ(handle, static_cast<std::uint32_t>(page));
+    ++visited;
+  });
+  EXPECT_EQ(visited, 2u);
 }
 
 // --- Ablation contracts (the mutation suite proves these unsound under
 // --- concurrency; these tests pin down what each knob observably does).
 
-TEST(SeqlockTableAblations, NoGlobalBumpIgnoresOffsetMovesAndRebuilds) {
+TEST(SeqlockTableAblations, NoGlobalBumpIgnoresOffsetMovingErases) {
   SeqlockResidencyTable<StdAtomics, kNoGlobalBump> table;
   table.allocate(16, 2);
-  table.publish_insert(1, 0);
-  table.publish_insert(2, 1);
+  fill(table, 1, 0);
+  fill(table, 2, 1);
+  fill(table, 3, 1);
 
   // Without the global bump an offset-moving eviction goes unnoticed by
   // the other tenant (exactly the bug class kNoEpochBump seeds for the
-  // model checker).
-  table.evict_and_insert(1, 3, /*page_tenant=*/0, /*victim_tenant=*/0,
-                         /*offset_moved=*/true, /*victim_refreshed=*/false);
+  // model checker)...
+  evict(table, 1, /*victim_tenant=*/0, 4, /*page_tenant=*/0,
+        /*offset_moved=*/true, /*victim_refreshed=*/false);
   EXPECT_TRUE(table.try_fresh_hit(2, 1));
 
-  // And a rebuild's bare-epoch stamps are never invalidated, so rebuilt
-  // entries keep looking fresh.
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>> survivors = {
-      {2, 0}, {3, 0}};
-  table.open_window();
-  table.rebuild(survivors);
-  table.close_window();
-  EXPECT_TRUE(table.try_fresh_hit(2, 1));
-  EXPECT_TRUE(table.try_fresh_hit(3, 0));
+  // ...and so does a shrink's offset-moving erase.
+  table.erase(table.find(2), 1, /*offset_moved=*/true,
+              /*tenant_refreshed=*/false);
+  EXPECT_TRUE(table.try_fresh_hit(3, 1));
+  EXPECT_TRUE(table.try_fresh_hit(4, 0));
 }
 
 TEST(SeqlockTableAblations, NoTenantBumpMissesTenantLocalRefreshes) {
   SeqlockResidencyTable<StdAtomics, kNoTenantBump> table;
   table.allocate(16, 2);
-  table.publish_insert(1, 0);
-  table.publish_insert(2, 0);
-  table.evict_and_insert(1, 3, /*page_tenant=*/0, /*victim_tenant=*/0,
-                         /*offset_moved=*/false, /*victim_refreshed=*/true);
+  fill(table, 1, 0);
+  fill(table, 2, 0);
+  evict(table, 1, /*victim_tenant=*/0, 3, /*page_tenant=*/0,
+        /*offset_moved=*/false, /*victim_refreshed=*/true);
   // The re-based survivor still validates — the seeded bug.
   EXPECT_TRUE(table.try_fresh_hit(2, 0));
 }
@@ -166,10 +218,10 @@ TEST(SeqlockTableAblations, NoTenantBumpMissesTenantLocalRefreshes) {
 TEST(SeqlockTableAblations, NoTenantStampMissesTenantLocalRefreshes) {
   SeqlockResidencyTable<StdAtomics, kNoTenantStamp> table;
   table.allocate(16, 2);
-  table.publish_insert(1, 0);
-  table.publish_insert(2, 0);
-  table.evict_and_insert(1, 3, /*page_tenant=*/0, /*victim_tenant=*/0,
-                         /*offset_moved=*/false, /*victim_refreshed=*/true);
+  fill(table, 1, 0);
+  fill(table, 2, 0);
+  evict(table, 1, /*victim_tenant=*/0, 3, /*page_tenant=*/0,
+        /*offset_moved=*/false, /*victim_refreshed=*/true);
   // The writer bumps tenant_epoch[0], but stamps never include it, so the
   // reader cannot see the re-base.
   EXPECT_TRUE(table.try_fresh_hit(2, 0));

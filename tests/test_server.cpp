@@ -380,6 +380,44 @@ TEST(Server, SigtermMidPipelineDrainsEveryRequestAndExitsZero) {
   EXPECT_EQ(harness.server->counters().requests, kBurst);
 }
 
+// counters() is safe from any thread while run() is live (CI runs this
+// under TSan): one thread polls it while a client pipelines 10^5 GETs.
+// `requests` never decreases, and once every response is back it reads the
+// client's count — before stop() as after.
+TEST(Server, CountersReadableDuringLiveRun) {
+  constexpr std::size_t kRequests = 100'000;
+  ServerHarness harness;
+  std::atomic<bool> done{false};
+  std::uint64_t polls = 0;
+  std::uint64_t decreases = 0;
+  std::thread poller([&] {
+    std::uint64_t last = 0;
+    // Relaxed: `done` only ends the loop; join() orders the tallies.
+    while (!done.load(std::memory_order_relaxed)) {
+      const std::uint64_t now = harness.server->counters().requests;
+      decreases += now < last ? 1 : 0;
+      last = now;
+      ++polls;
+    }
+  });
+  std::vector<Request> requests;
+  requests.reserve(kRequests);
+  for (std::size_t i = 0; i < kRequests; ++i)
+    requests.push_back(Request{static_cast<TenantId>(i % 4),
+                               make_page(static_cast<TenantId>(i % 4),
+                                         (i * 7) % 40)});
+  server::BlockingClient client(kLoopback, harness.port());
+  EXPECT_EQ(replay(client, requests, 256).size(), kRequests);
+  const std::uint64_t live = harness.server->counters().requests;
+  done.store(true, std::memory_order_relaxed);  // see the poller's load
+  poller.join();
+  EXPECT_EQ(live, kRequests);
+  EXPECT_EQ(decreases, 0u);
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(harness.stop(), 0);
+  EXPECT_EQ(harness.server->counters().requests, kRequests);
+}
+
 TEST(Server, MidFrameConnectionDropServesCompletePrefixAndLeaksNothing) {
   ServerHarness harness;
   {

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "core/convex_caching.hpp"
 #include "cost/monomial.hpp"
 #include "exp/policy_factory.hpp"
@@ -25,6 +26,19 @@
 #include "trace/generators.hpp"
 
 namespace ccc {
+
+/// White-box access to each shard's policy, under that shard's mutex.
+struct ShardedCacheTestPeer {
+  template <typename Fn>
+  static void for_each_policy(const ShardedCache& cache, Fn&& fn) {
+    for (std::size_t s = 0; s < cache.shards_.size(); ++s) {
+      const ShardedCache::Shard& shard = *cache.shards_[s];
+      const util::MutexLock lock(shard.mutex);
+      fn(s, *shard.policy);
+    }
+  }
+};
+
 namespace {
 
 Trace zipf_trace(std::uint32_t tenants, std::uint64_t pages_per_tenant,
@@ -472,14 +486,13 @@ TEST(ShardedCache, ConcurrentBatchedAccessIsRaceFreeAndConserving) {
   EXPECT_EQ(cache.aggregated_perf().requests, writers * requests_per_writer);
 }
 
-// The batched drain's probe-ahead feeds request pages straight into
-// CacheState's FlatMap prefetch — which does no reserved-key screening
-// (it is only an address hint). The reserved key ~0 must therefore be
-// rejected when its request actually reaches the insert path, not
-// silently corrupt the table: place the poisoned request deep enough in
-// the batch that an earlier request's probe-ahead prefetches it first,
-// then expect the FlatMap's reserved-key guard to fire when it is
-// processed.
+// The batched drain's probe-ahead feeds request pages straight into the
+// page table's prefetch — which does no reserved-key screening (it is
+// only an address hint). The reserved key ~0 must therefore be rejected
+// when its request actually reaches the policy's step, not silently
+// corrupt the table: place the poisoned request deep enough in the batch
+// that an earlier request's probe-ahead prefetches it first, then expect
+// the reserved-key guard to fire when it is processed.
 TEST(ShardedCacheBatch, ReservedPageIdIsRejectedAfterPrefetch) {
   const std::uint32_t tenants = 2;
   const auto costs = quadratic_costs(tenants);
@@ -487,7 +500,7 @@ TEST(ShardedCacheBatch, ReservedPageIdIsRejectedAfterPrefetch) {
   std::vector<Request> batch;
   for (std::uint64_t i = 0; i < 12; ++i)
     batch.push_back(Request{0, make_page(0, i)});
-  // util::FlatMap<...>::kEmptyKey — the one PageId value no tenant can own.
+  // The page table's empty-slot key — the one PageId no tenant can own.
   batch.push_back(Request{0, ~PageId{0}});
   EXPECT_THROW(cache.access_batch(batch), std::invalid_argument);
 }
@@ -753,6 +766,105 @@ TEST(ShardedCacheSeqlock, ConcurrentStressWithRebalanceIsRaceFreeAndConserving) 
   EXPECT_EQ(std::accumulate(caps.begin(), caps.end(), std::size_t{0}), 64u);
 }
 
+// ------------------------------------------------------- fused page table
+
+/// The pages in a shard policy's page table.
+std::set<PageId> table_pages(const ConvexCachingPolicy& policy) {
+  std::set<PageId> pages;
+  policy.page_table().for_each(
+      [&pages](std::uint64_t page, std::uint32_t /*handle*/) {
+        pages.insert(page);
+      });
+  return pages;
+}
+
+// The policy's page table is each shard's only residency record. After
+// every batch of a randomized replay — both hit paths, 1 and 4 shards, a
+// rebalance every few thousand requests — each shard's table holds exactly
+// the pages the event stream left resident in that shard, and each slot's
+// handle names the heap node of its page (the auditor's index check). A
+// rebalance's shrink evictions emit no events, so across one the table
+// may only drop resident pages, exactly as many as the shard evicted.
+TEST(ShardedCacheFusedTable, RandomizedReplayKeepsEveryTableExact) {
+  const std::uint32_t tenants = 6;
+  const std::size_t capacity = 48;
+  const std::size_t rebalance_every = 2500;
+  const Trace trace = zipf_trace(tenants, 40, 15000, 131);
+  const auto costs = quadratic_costs(tenants);
+  const CacheState unused(1);  // check_index reads only the policy
+
+  for (const HitPath path : {HitPath::kLocked, HitPath::kSeqlock}) {
+    for (const std::size_t shards : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << (path == HitPath::kSeqlock ? "seqlock" : "locked")
+                   << " shards=" << shards);
+      auto options = options_for(capacity, shards, tenants);
+      options.hit_path = path;
+      options.min_shard_capacity = 4;
+      ShardedCache cache(options, nullptr, &costs);
+      ConvexCachingAuditor auditor;
+      std::vector<std::set<PageId>> resident(shards);
+      std::vector<StepEvent> events;
+      std::mt19937 rng(static_cast<unsigned>(shards) + 5);
+      std::uniform_int_distribution<std::size_t> batch_size(1, 97);
+      std::size_t begin = 0;
+      std::size_t next_rebalance = rebalance_every;
+      std::size_t rebalances = 0;
+      while (begin < trace.size()) {
+        const std::size_t count =
+            std::min(batch_size(rng), trace.size() - begin);
+        events.clear();
+        cache.access_batch(
+            std::span<const Request>(&trace.requests()[begin], count),
+            events);
+        begin += count;
+        for (const StepEvent& event : events) {
+          std::set<PageId>& pages = resident[cache.shard_of(event.request.page)];
+          if (event.victim.has_value()) {
+            ASSERT_EQ(pages.erase(*event.victim), 1u);
+          }
+          if (!event.hit) {
+            ASSERT_TRUE(pages.insert(event.request.page).second);
+          }
+        }
+
+        if (begin >= next_rebalance) {
+          next_rebalance += rebalance_every;
+          ++rebalances;
+          const std::vector<ShardStats> before = cache.shard_stats();
+          cache.rebalance();
+          const std::vector<ShardStats> after = cache.shard_stats();
+          ShardedCacheTestPeer::for_each_policy(
+              cache, [&](std::size_t s, const ConvexCachingPolicy& policy) {
+                const std::set<PageId> kept = table_pages(policy);
+                for (const PageId page : kept)
+                  EXPECT_EQ(resident[s].count(page), 1u) << "shard " << s;
+                EXPECT_EQ(resident[s].size() - kept.size(),
+                          after[s].evictions - before[s].evictions)
+                    << "shard " << s;
+                EXPECT_LE(kept.size(), after[s].capacity) << "shard " << s;
+                resident[s] = kept;
+              });
+        }
+
+        ShardedCacheTestPeer::for_each_policy(
+            cache, [&](std::size_t s, const ConvexCachingPolicy& policy) {
+              ASSERT_EQ(table_pages(policy), resident[s])
+                  << "shard " << s << " after request " << begin;
+              EXPECT_EQ(policy.page_table().size(), resident[s].size());
+              auditor.check_index(policy, unused, begin);
+            });
+        ASSERT_TRUE(auditor.report().ok()) << auditor.report().summary();
+      }
+      EXPECT_GE(rebalances, 5u);
+      EXPECT_GT(auditor.report().index_checks, 0u);
+      if (path == HitPath::kSeqlock) {
+        EXPECT_GT(cache.aggregated_perf().lockfree_hits, 0u);
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------- drain crew
 
 // The daemon's default shape: 16 tenants × 64 pages, k = 8 per tenant, 4
@@ -858,7 +970,7 @@ TEST(DrainCrew, GroupExceptionReachesCallerAndCrewDrainsNextBatch) {
                      events, &crew);
   std::vector<Request> poisoned =
       zipf_trace(kCrewTenants, 64, kCrewBatch, 8).requests();
-  poisoned[200] = Request{0, ~PageId{0}};  // FlatMap's reserved key
+  poisoned[200] = Request{0, ~PageId{0}};  // the page table's reserved key
   const std::uint64_t jobs = crew.jobs();
   EXPECT_THROW(cache.access_batch(poisoned, events, &crew),
                std::invalid_argument);
