@@ -24,6 +24,12 @@ ConvexCachingPolicy::ConvexCachingPolicy(ConvexCachingOptions options)
     : options_(options) {}
 
 void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
+  reset(ctx, ctx.capacity);
+}
+
+void ConvexCachingPolicy::reset(const PolicyContext& ctx,
+                                std::size_t max_capacity) {
+  CCC_REQUIRE(ctx.capacity <= max_capacity, "capacity over max_capacity");
   CCC_REQUIRE(ctx.costs != nullptr,
               "ConvexCachingPolicy needs per-tenant cost functions");
   CCC_REQUIRE(ctx.costs->size() >= ctx.num_tenants,
@@ -37,22 +43,15 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
   for (TenantId t = 0; t < ctx.num_tenants; ++t) cache_marginal(t);
   // At most half full, so a probe ends within a few slots.
   std::size_t slots = 16;
-  while (slots < 2 * ctx.capacity + 2) slots <<= 1;
+  while (slots < 2 * max_capacity + 2) slots <<= 1;
   pages_.emplace();
   pages_->allocate(slots, std::max<std::uint32_t>(1, ctx.num_tenants));
   capacity_ = ctx.capacity;
   nodes_.clear();
-  nodes_.reserve(ctx.capacity);
   free_.clear();
-  // Each heap starts with room for twice its fair share, so the steady
-  // state rarely (and after warm-up never) grows one.
   heaps_.resize(ctx.num_tenants);
-  const std::size_t share =
-      2 * ctx.capacity / std::max<std::size_t>(1, ctx.num_tenants) + 1;
-  for (std::vector<Handle>& heap : heaps_) {
-    heap.clear();
-    heap.reserve(share);
-  }
+  for (std::vector<Handle>& heap : heaps_) heap.clear();
+  reserve(ctx.capacity);
   leaves_.assign(std::max<std::size_t>(2, std::bit_ceil(std::size_t{
                                               ctx.num_tenants})),
                  Leaf{kInfinity, kNoPage});
@@ -60,6 +59,13 @@ void ConvexCachingPolicy::reset(const PolicyContext& ctx) {
   rebuild_tree();
   current_window_ = 0;
   counters_ = PerfCounters{};
+}
+
+void ConvexCachingPolicy::reserve(std::size_t capacity) {
+  nodes_.reserve(capacity);
+  const std::size_t share =
+      2 * capacity / std::max<std::size_t>(1, heaps_.size()) + 1;
+  for (std::vector<Handle>& heap : heaps_) heap.reserve(share);
 }
 
 void ConvexCachingPolicy::cache_marginal(TenantId tenant) {
@@ -326,6 +332,7 @@ bool ConvexCachingPolicy::step(const Request& request, StepEvent& event) {
 
 void ConvexCachingPolicy::resize(std::size_t capacity, Metrics& metrics) {
   CCC_REQUIRE(2 * capacity + 2 <= pages_->mask() + 1, "over reset()'s size");
+  if (capacity > capacity_) reserve(capacity);
   capacity_ = capacity;
   while (pages_->size() > capacity_)
     metrics.record_eviction(evict(choose_victim(Request{}, 0)));

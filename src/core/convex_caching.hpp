@@ -119,6 +119,11 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   explicit ConvexCachingPolicy(ConvexCachingOptions options = {});
 
   void reset(const PolicyContext& ctx) override;
+  /// reset(ctx) with the page table sized for `max_capacity` pages, the
+  /// most a later resize() may set: the table stays put under lock-free
+  /// readers. Nodes and heaps are reserved for ctx.capacity only, and
+  /// resize() reserves more when it grows the capacity.
+  void reset(const PolicyContext& ctx, std::size_t max_capacity);
   void on_hit(const Request& request, TimeStep time) override;
   [[nodiscard]] PageId choose_victim(const Request& request,
                                      TimeStep time) override;
@@ -141,8 +146,9 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   /// a hit whose stamp was already current. Windows never roll here.
   bool step(const Request& request, StepEvent& event);
 
-  /// Sets step()'s capacity, at most reset()'s. A shrink evicts the argmin
-  /// through the eviction path of a miss, charging `metrics`.
+  /// Sets step()'s capacity, at most reset()'s `max_capacity`. A shrink
+  /// evicts the argmin through the eviction path of a miss, charging
+  /// `metrics`.
   void resize(std::size_t capacity, Metrics& metrics);
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
@@ -234,6 +240,11 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   bool hit(std::size_t slot);
   /// Evicts a resident page; returns its owner.
   TenantId evict(PageId victim);
+
+  /// Room for `capacity` nodes, and for twice each tenant's fair share of
+  /// it in every heap, so the steady state rarely (and after warm-up
+  /// never) grows one.
+  void reserve(std::size_t capacity);
 
   // -- per-tenant heaps, ordered by (key, page id) --------------------------
 

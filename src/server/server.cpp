@@ -49,6 +49,17 @@ constexpr std::uint64_t kSentinelMax = 3;
 /// Bytes read per read() call on a ready connection.
 constexpr std::size_t kReadChunk = std::size_t{64} << 10;
 
+/// How long the loop polls epoll_wait with a zero timeout, after a wake-up
+/// that served a batch, before it blocks again. The gap it covers runs
+/// from a flushed response window to the next readable request window:
+/// the client's receive, decode, enqueue and send, plus loopback delivery.
+/// On perfbench's serving workload (one pipelined connection, 256-request
+/// windows, 4-vCPU Xeon KVM guest), 96–99% of the ~550–600 k gaps in a
+/// 20-s run ended 14–25 µs after the flush (median 16–17 µs), and
+/// 0.08–1.5% outlasted 50 µs. With a 200-µs budget only 0.10% more ended
+/// between 50 and 200 µs, so the smaller budget stands (DESIGN.md §12).
+constexpr std::uint64_t kPollBudgetNs = 50'000;
+
 [[noreturn]] void throw_errno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " +
                            std::strerror(errno));
@@ -126,7 +137,9 @@ CacheServer::CacheServer(ServerOptions options,
                          const std::vector<CostFunctionPtr>* costs)
     : options_(std::move(options)),
       cache_(cache_options, std::move(factory), costs),
-      crew_(DrainCrew::helpers_for(cache_.num_shards())) {}
+      crew_(DrainCrew::helpers_for(cache_.num_shards())),
+      // One CPU would be the client's: polling on it delays the next window.
+      poll_between_windows_(usable_cpus() >= 2) {}
 
 CacheServer::~CacheServer() {
   for (auto& conn : connections_)
@@ -191,13 +204,17 @@ void CacheServer::request_stop() noexcept {
 
 void CacheServer::event_loop() {
   std::array<epoll_event, 128> events{};
+  // Only a wake-up that served a batch polls: the next window is likely
+  // already on its way. Accepts, HTTP and sheds block at once.
+  bool poll = false;
   while (!stopping_) {
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), -1);
+    const int n = wait_for_events(events.data(),
+                                  static_cast<int>(events.size()), poll);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw_errno("epoll_wait");
     }
+    const std::uint64_t batches = counters_.batches;
     for (int i = 0; i < n; ++i) {
       const epoll_event& ev = events[static_cast<std::size_t>(i)];
       if (ev.data.u64 == kWakePipe) {
@@ -228,7 +245,32 @@ void CacheServer::event_loop() {
                   [](const std::unique_ptr<Connection>& c) {
                     return c->closed;
                   });
+    poll = poll_between_windows_ && counters_.batches != batches;
   }
+}
+
+int CacheServer::wait_for_events(epoll_event* events, int capacity,
+                                 bool poll) {
+  if (poll) {
+    const std::uint64_t start_ns = now_ns();
+    std::uint64_t polled_ns = 0;
+    std::uint64_t polls = 0;
+    int n = 0;
+    do {
+      n = ::epoll_wait(epoll_fd_, events, capacity, 0);
+      ++polls;
+      polled_ns = now_ns() - start_ns;
+    } while (n == 0 && polled_ns < kPollBudgetNs);
+    counters_.loop_polls += polls;
+    counters_.loop_poll_ns += polled_ns;
+    if (n != 0) return n;
+    ++counters_.loop_poll_budgets_expired;
+  }
+  ++counters_.loop_waits;
+  const std::uint64_t start_ns = now_ns();
+  const int n = ::epoll_wait(epoll_fd_, events, capacity, -1);
+  counters_.loop_wait_ns += now_ns() - start_ns;
+  return n;
 }
 
 void CacheServer::accept_ready(int listener_fd, bool metrics_listener) {
@@ -679,7 +721,8 @@ ServerCounters CacheServer::counters() const noexcept {
           c.frames, c.requests, c.stats_requests, c.rebalance_requests,
           c.bad_requests, c.protocol_errors, c.batches, c.bytes_read,
           c.bytes_written, c.metrics_scrapes, c.debug_requests,
-          c.reads_paused};
+          c.reads_paused, c.loop_waits, c.loop_wait_ns, c.loop_polls,
+          c.loop_poll_ns, c.loop_poll_budgets_expired};
 }
 
 void CacheServer::fill_metrics(obs::MetricsRegistry& registry) const {
@@ -727,6 +770,22 @@ void CacheServer::fill_metrics(obs::MetricsRegistry& registry) const {
   counter("ccc_server_reads_paused_total",
           "Backpressure activations (output backlog over limit)",
           c.reads_paused);
+  counter("ccc_server_loop_waits_total",
+          "Blocking epoll_wait calls of the event loop, counted as each "
+          "starts",
+          c.loop_waits);
+  counter("ccc_server_loop_wait_ns_total",
+          "Nanoseconds the event loop spent blocked in epoll_wait",
+          c.loop_wait_ns);
+  counter("ccc_server_loop_polls_total",
+          "Zero-timeout epoll_wait calls after wake-ups that served a batch",
+          c.loop_polls);
+  counter("ccc_server_loop_poll_ns_total",
+          "Nanoseconds the event loop spent polling epoll_wait",
+          c.loop_poll_ns);
+  counter("ccc_server_loop_poll_budgets_expired_total",
+          "Polls that found no event within the budget and blocked",
+          c.loop_poll_budgets_expired);
   registry.set_histogram("ccc_server_batch_size",
                          "Requests folded into one access_batch call", {},
                          batch_size_hist_.snapshot());

@@ -38,6 +38,12 @@
 /// connection (serving everything already in socket buffers), flushes all
 /// pending responses under a deadline, prints the books, and run() returns
 /// 0. In-flight pipelined requests are therefore answered, not dropped.
+///
+/// Waking: after a wake-up that served a batch, the loop polls epoll with
+/// a zero timeout for up to kPollBudgetNs (server.cpp) before it blocks
+/// again, so a client that sends its next window within that gap does not
+/// pay a thread wake-up. Other wake-ups block at once, and so does every
+/// wake-up on a host with fewer than 2 usable CPUs (usable_cpus()).
 
 #include <atomic>
 #include <cstdint>
@@ -51,6 +57,8 @@
 #include "obs/slow_ring.hpp"
 #include "obs/trace_event.hpp"
 #include "shard/sharded_cache.hpp"
+
+struct epoll_event;
 
 namespace ccc::server {
 
@@ -94,6 +102,14 @@ struct BasicServerCounters {
   Count metrics_scrapes{};     ///< /metrics responses served
   Count debug_requests{};      ///< /debug/* responses served
   Count reads_paused{};        ///< backpressure activations
+  /// Event-loop accounting (DESIGN.md §12). A blocking epoll_wait is
+  /// counted as it starts, so an idle loop's count includes the wait it is
+  /// in; its ns are added when it returns.
+  Count loop_waits{};
+  Count loop_wait_ns{};
+  Count loop_polls{};          ///< zero-timeout epoll_wait calls
+  Count loop_poll_ns{};
+  Count loop_poll_budgets_expired{};  ///< polls that fell back to blocking
 };
 using ServerCounters = BasicServerCounters<std::uint64_t>;
 
@@ -161,6 +177,9 @@ class CacheServer {
   struct Connection;
 
   void event_loop();
+  /// The next epoll_wait result: when `poll`, zero-timeout calls until one
+  /// reports events or the poll budget runs out, then a blocking call.
+  int wait_for_events(epoll_event* events, int capacity, bool poll);
   void accept_ready(int listener_fd, bool metrics_listener);
   /// Out of fds (EMFILE/ENFILE): frees the reserve fd to accept and close
   /// one pending connection, then re-arms the reserve. Returns false when
@@ -207,6 +226,8 @@ class CacheServer {
   std::uint16_t metrics_port_ = 0;
   bool started_ = false;
   bool stopping_ = false;
+  /// Whether a wake-up that served a batch polls before blocking again.
+  const bool poll_between_windows_;
 
   std::vector<std::unique_ptr<Connection>> connections_;
   std::size_t cache_connections_ = 0;

@@ -110,8 +110,8 @@ std::size_t quota_cpus() {
   return cpus;
 }
 
-/// CPUs this process may run on: its affinity mask, capped by its cgroup
-/// CPU quota.
+}  // namespace
+
 std::size_t usable_cpus() {
   std::size_t cpus = std::max(1u, std::thread::hardware_concurrency());
   cpu_set_t set;
@@ -121,8 +121,6 @@ std::size_t usable_cpus() {
   const std::size_t quota = quota_cpus();
   return quota != 0 ? std::min(cpus, quota) : cpus;
 }
-
-}  // namespace
 
 DrainCrew::DrainCrew(std::size_t helpers) {
   threads_.reserve(helpers);

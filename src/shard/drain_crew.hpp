@@ -33,6 +33,12 @@
 
 namespace ccc {
 
+/// CPUs this process may run on: its sched_getaffinity mask, capped by
+/// its cgroup CPU quota (v1 or v2, the tightest over its cgroup's
+/// ancestors). DrainCrew::helpers_for and ccc-serverd's event loop read it
+/// before they spend a CPU spinning.
+[[nodiscard]] std::size_t usable_cpus();
+
 class DrainCrew {
  public:
   /// Starts `helpers` threads. With 0 helpers the crew never fans out and
@@ -45,9 +51,8 @@ class DrainCrew {
   DrainCrew& operator=(const DrainCrew&) = delete;
 
   /// Helpers for a crew draining `shards` shards on this host:
-  /// min(shards − 1, usable CPUs − 2), or 0 when that is below 1. Two CPUs
-  /// stay for the caller's other work and one client; usable CPUs are the
-  /// sched_getaffinity mask, capped by the cgroup CPU quota.
+  /// min(shards − 1, usable_cpus() − 2), or 0 when that is below 1. Two
+  /// CPUs stay for the caller's other work and one client.
   [[nodiscard]] static std::size_t helpers_for(std::size_t shards);
 
   [[nodiscard]] std::size_t helpers() const noexcept { return threads_.size(); }

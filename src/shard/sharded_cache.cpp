@@ -140,13 +140,15 @@ ShardedCache::ShardedCache(ShardedCacheOptions options, PolicyFactory factory,
       // so the thread-safety analysis accepts the guarded accesses.
       const util::MutexLock lock(shard->mutex);
       shard->policy.reset(static_cast<ConvexCachingPolicy*>(policy.release()));
-      // Reset at the *total* capacity, so the page table fits any split a
-      // rebalance can hand this shard, then shrink the empty shard.
-      shard->policy->reset({.capacity = options_.capacity,
+      // The page table is sized for the *total* capacity, so it fits any
+      // split a rebalance can hand this shard and is never reallocated
+      // under lock-free readers; nodes and heaps start at this shard's
+      // share and grow when a rebalance grows the shard.
+      shard->policy->reset({.capacity = split[s],
                             .num_tenants = options_.num_tenants,
                             .costs = costs_,
-                            .seed = options_.seed + s});
-      shard->policy->resize(split[s], shard->metrics);
+                            .seed = options_.seed + s},
+                           options_.capacity);
       shard->table = &shard->policy->page_table();
     }
     shards_.push_back(std::move(shard));

@@ -3,8 +3,8 @@
 // zero-drift determinism contract vs a direct access_batch replay
 // (DESIGN.md §12), SIGTERM mid-pipeline draining, mid-frame connection
 // drops, oversized-frame isolation, connection limits, fd exhaustion,
-// backpressure, /metrics exposition under concurrent load, and idle drain
-// helpers that park instead of spinning.
+// backpressure, /metrics exposition under concurrent load, and an idle
+// loop and drain helpers that block or park instead of spinning.
 #include "server/server.hpp"
 
 #include <gtest/gtest.h>
@@ -616,6 +616,41 @@ TEST(Server, IdleDrainHelpersParkWithoutSpinning) {
     EXPECT_GT(
         server_scalar(*harness.server, "ccc_server_drain_fanouts_total"), 0);
   }
+}
+
+// The loop polls only through the gap between request windows. Once traffic
+// stops, with the connection still open, its last poll runs out, it blocks
+// in epoll_wait again and its thread idles; a wake-up that serves no batch
+// (here an HTTP scrape's accept and request) blocks without polling.
+TEST(Server, LoopStopsPollingWhenTrafficStops) {
+  constexpr std::uint32_t kTenants = 16;
+  ServerHarness harness({}, kTenants, 4, 8 * kTenants);
+  server::BlockingClient client(kLoopback, harness.port());
+  const server::ServerCounters before = harness.server->counters();
+  const Trace trace = zipf_trace(kTenants, 20000, 5);
+  EXPECT_EQ(replay(client, trace.requests(), 256).size(), trace.size());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+  const server::ServerCounters quiet = harness.server->counters();
+  const double cpu_before = thread_cpu_seconds(harness.thread);
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_LT(thread_cpu_seconds(harness.thread) - cpu_before, 0.05);
+  EXPECT_GT(quiet.loop_waits, before.loop_waits);
+  if (usable_cpus() >= 2) {
+    EXPECT_GT(quiet.loop_polls, before.loop_polls);
+    EXPECT_GT(quiet.loop_poll_budgets_expired,
+              before.loop_poll_budgets_expired);
+  }
+
+  EXPECT_NE(http_raw(harness.server->metrics_port(),
+                     "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+                .find("ccc_server_loop_polls_total"),
+            std::string::npos);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const server::ServerCounters scraped = harness.server->counters();
+  EXPECT_EQ(scraped.loop_polls, quiet.loop_polls);
+  EXPECT_GT(scraped.loop_waits, quiet.loop_waits);
+  EXPECT_EQ(harness.stop(), 0);
 }
 
 TEST(Server, BackpressurePausesReadsAndStillAnswersEverything) {
