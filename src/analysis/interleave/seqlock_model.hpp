@@ -103,7 +103,7 @@ class SeqlockModelHarness {
       s.state[page] = PageTruth::kFresh;
     });
     const ScopedModelContext scope(ctx_);
-    (void)table_.restamp(table_.find(page), owner_of(page));
+    table_.restamp(table_.find(page), owner_of(page));
   }
 
   /// Eviction without a fetch (a capacity shrink; the first half of an

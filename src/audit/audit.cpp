@@ -38,6 +38,8 @@ ConvexCachingAuditor::ConvexCachingAuditor(AuditConfig config)
 void ConvexCachingAuditor::on_reset(const PolicyContext& ctx) {
   report_ = AuditReport{};
   evictions_seen_ = 0;
+  resident_.clear();
+  resident_.reserve(ctx.capacity);
   observed_.clear();
   shadow_overflow_ = false;
   capacity_ = ctx.capacity;
@@ -47,12 +49,6 @@ void ConvexCachingAuditor::on_reset(const PolicyContext& ctx) {
   if (costs_ != nullptr)
     for (std::uint32_t t = 0; t < num_tenants_; ++t)
       if (!(*costs_)[t]->is_convex()) all_convex_ = false;
-}
-
-const ConvexCachingPolicy* ConvexCachingAuditor::resolve(
-    ReplacementPolicy& policy) const {
-  if (target_ != nullptr) return target_;
-  return dynamic_cast<const ConvexCachingPolicy*>(&policy);
 }
 
 void ConvexCachingAuditor::violation(const std::string& check,
@@ -66,22 +62,18 @@ void ConvexCachingAuditor::violation(const std::string& check,
                            std::to_string(time) + ": " + detail);
 }
 
-void ConvexCachingAuditor::on_victim_chosen(const Request& /*request*/,
-                                            PageId victim,
-                                            const CacheState& cache,
-                                            ReplacementPolicy& policy,
+void ConvexCachingAuditor::on_victim_chosen(PageId victim,
+                                            const ConvexCachingPolicy& policy,
                                             TimeStep time) {
   ++evictions_seen_;
   if (!config_.check_victim_minimality) return;
   if (evictions_seen_ % config_.eviction_cadence != 0) return;
-  const ConvexCachingPolicy* ccp = resolve(policy);
-  if (ccp == nullptr) return;
-  check_victim_minimality(*ccp, cache, victim, time);
+  check_victim_minimality(policy, victim, time);
 }
 
 void ConvexCachingAuditor::on_step(const StepEvent& event,
-                                   const CacheState& cache,
-                                   ReplacementPolicy& policy, TimeStep time) {
+                                   const ConvexCachingPolicy* policy,
+                                   TimeStep time) {
   ++report_.steps_observed;
   if (config_.shadow_alg_cont) {
     if (observed_.size() < config_.max_shadow_requests)
@@ -89,51 +81,57 @@ void ConvexCachingAuditor::on_step(const StepEvent& event,
     else
       shadow_overflow_ = true;
   }
+  if (policy == nullptr) return;
+  if (!event.hit) {
+    if (event.victim.has_value()) (void)resident_.take(*event.victim);
+    (void)resident_.try_emplace(event.request.page, event.request.tenant);
+  }
   if (report_.steps_observed % config_.step_cadence != 0) return;
-  const ConvexCachingPolicy* ccp = resolve(policy);
-  if (ccp == nullptr) return;
-  audit_now(*ccp, cache, time);
+  audit_now(*policy, time);
 }
 
-void ConvexCachingAuditor::on_run_end(const CacheState& /*cache*/,
-                                      ReplacementPolicy& policy) {
+void ConvexCachingAuditor::on_invalidate(PageId page) {
+  (void)resident_.take(page);
+}
+
+void ConvexCachingAuditor::on_run_end(const ConvexCachingPolicy* policy) {
   shadow_check(policy);
 }
 
 void ConvexCachingAuditor::audit_now(const ConvexCachingPolicy& policy,
-                                     const CacheState& cache, TimeStep time) {
-  check_residency_agreement(policy, cache, time);
-  if (config_.check_budget_bounds) check_budget_bounds(policy, cache, time);
-  if (config_.check_index) check_index(policy, cache, time);
+                                     TimeStep time) {
+  check_residency_agreement(policy, time);
+  if (config_.check_budget_bounds) check_budget_bounds(policy, time);
+  if (config_.check_index) check_index(policy, time);
 }
 
 void ConvexCachingAuditor::check_residency_agreement(
-    const ConvexCachingPolicy& policy, const CacheState& cache,
-    TimeStep time) {
-  if (policy.pages_->size() != cache.size())
+    const ConvexCachingPolicy& policy, TimeStep time) {
+  if (policy.pages_->size() != resident_.size())
     violation("residency",
               "policy tracks " + std::to_string(policy.pages_->size()) +
-                  " pages, cache holds " + std::to_string(cache.size()),
+                  " pages, the events leave " +
+                  std::to_string(resident_.size()) + " resident",
               time);
   policy.pages_->for_each([&](PageId page, ConvexCachingPolicy::Handle handle) {
-    if (!cache.contains(page)) {
+    const auto it = resident_.find(page);
+    if (it == resident_.end()) {
       violation("residency",
                 "policy tracks non-resident page " + page_str(page), time);
       return;
     }
     const TenantId tenant = policy.nodes_[handle].tenant;
-    if (cache.owner(page) != tenant)
+    if (it->second != tenant)
       violation("residency",
                 "page " + page_str(page) + " owner mismatch: policy says " +
-                    std::to_string(tenant) + ", cache says " +
-                    std::to_string(cache.owner(page)),
+                    std::to_string(tenant) + ", the events say " +
+                    std::to_string(it->second),
                 time);
   });
 }
 
 void ConvexCachingAuditor::check_budget_bounds(
-    const ConvexCachingPolicy& policy, const CacheState& /*cache*/,
-    TimeStep time) {
+    const ConvexCachingPolicy& policy, TimeStep time) {
   const double tol = config_.tolerance;
   policy.pages_->for_each([&](PageId page, ConvexCachingPolicy::Handle handle) {
     ++report_.budget_checks;
@@ -169,8 +167,7 @@ void ConvexCachingAuditor::check_budget_bounds(
 }
 
 void ConvexCachingAuditor::check_victim_minimality(
-    const ConvexCachingPolicy& policy, const CacheState& /*cache*/,
-    PageId victim, TimeStep time) {
+    const ConvexCachingPolicy& policy, PageId victim, TimeStep time) {
   ++report_.victim_checks;
   const std::size_t victim_slot = policy.pages_->find(victim);
   if (victim_slot == ConvexCachingPolicy::PageTable::kNoSlot) {
@@ -214,7 +211,6 @@ void ConvexCachingAuditor::check_victim_minimality(
 }
 
 void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
-                                       const CacheState& /*cache*/,
                                        TimeStep time) {
   ++report_.index_checks;
   if (!std::isfinite(policy.offset_))
@@ -308,7 +304,7 @@ void ConvexCachingAuditor::check_index(const ConvexCachingPolicy& policy,
   }
 }
 
-void ConvexCachingAuditor::shadow_check(ReplacementPolicy& policy) {
+void ConvexCachingAuditor::shadow_check(const ConvexCachingPolicy* policy) {
   if (!config_.shadow_alg_cont) return;
   if (costs_ == nullptr || observed_.empty() || shadow_overflow_) return;
   if (!all_convex_) return;  // §2.3 invariants are a convex-cost theorem
@@ -334,16 +330,14 @@ void ConvexCachingAuditor::shadow_check(ReplacementPolicy& policy) {
     violation("alg-cont-invariants", detail, trace.size());
   }
 
-  if (!config_.shadow_compare_evictions) return;
-  const ConvexCachingPolicy* ccp = resolve(policy);
-  if (ccp == nullptr) return;
-  const ConvexCachingOptions& opt = ccp->options();
+  if (!config_.shadow_compare_evictions || policy == nullptr) return;
+  const ConvexCachingOptions& opt = policy->options();
   // The discrete ≡ continuous eviction theorem needs Fig. 3 as written:
   // analytic derivative, whole-run accounting, both budget updates on.
   if (opt.derivative != DerivativeMode::kAnalytic || opt.window_length != 0 ||
       !opt.debit_survivors || !opt.bump_victim_tenant)
     return;
-  const std::vector<std::uint64_t>& discrete = ccp->tenant_evictions();
+  const std::vector<std::uint64_t>& discrete = policy->tenant_evictions();
   for (std::uint32_t t = 0; t < num_tenants_; ++t) {
     const std::uint64_t cont = run.final_m[t];
     if (discrete[t] != cont)

@@ -21,8 +21,9 @@
 ///     and each eviction moves it down by B(victim) ≥ 0 relative to the
 ///     marginal. Both are skipped automatically for non-convex §2.5 costs,
 ///     where Fig. 3 gives no guarantee.
-///  4. **Eviction-index consistency**: the policy's resident-page table
-///     matches the simulator's cache; global offset and per-tenant bumps
+///  4. **Eviction-index consistency**: the policy's page table matches the
+///     resident set replayed from the session's events and invalidations
+///     (owners included); global offset and per-tenant bumps
 ///     are finite; heap order holds within each tenant's heap; every
 ///     handle's recorded slot holds that handle; and every winner-tree
 ///     leaf equals its tenant's argmin of (key + bump, page id), with each
@@ -43,6 +44,7 @@
 
 #include "core/convex_caching.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_map.hpp"
 
 namespace ccc {
 
@@ -104,20 +106,13 @@ class ConvexCachingAuditor final : public PolicyAuditor {
  public:
   explicit ConvexCachingAuditor(AuditConfig config = {});
 
-  /// Audits `target` instead of the policy the session drives. Needed when
-  /// the driven policy wraps or proxies the real ConvexCachingPolicy (see
-  /// the wrong-victim mutation test).
-  void set_target(const ConvexCachingPolicy* target) noexcept {
-    target_ = target;
-  }
-
   void on_reset(const PolicyContext& ctx) override;
-  void on_victim_chosen(const Request& request, PageId victim,
-                        const CacheState& cache, ReplacementPolicy& policy,
+  void on_victim_chosen(PageId victim, const ConvexCachingPolicy& policy,
                         TimeStep time) override;
-  void on_step(const StepEvent& event, const CacheState& cache,
-               ReplacementPolicy& policy, TimeStep time) override;
-  void on_run_end(const CacheState& cache, ReplacementPolicy& policy) override;
+  void on_step(const StepEvent& event, const ConvexCachingPolicy* policy,
+               TimeStep time) override;
+  void on_invalidate(PageId page) override;
+  void on_run_end(const ConvexCachingPolicy* policy) override;
 
   [[nodiscard]] const AuditReport& report() const noexcept { return report_; }
   [[nodiscard]] const AuditConfig& config() const noexcept { return config_; }
@@ -125,30 +120,23 @@ class ConvexCachingAuditor final : public PolicyAuditor {
   /// Runs every per-step check immediately, ignoring cadence. Public so
   /// mutation tests can corrupt policy state and force a verdict without
   /// arranging for the next sampled step.
-  void audit_now(const ConvexCachingPolicy& policy, const CacheState& cache,
-                 TimeStep time);
+  void audit_now(const ConvexCachingPolicy& policy, TimeStep time);
 
   /// Individual checks (audit_now composes them; public for tests).
-  void check_budget_bounds(const ConvexCachingPolicy& policy,
-                           const CacheState& cache, TimeStep time);
+  void check_budget_bounds(const ConvexCachingPolicy& policy, TimeStep time);
   void check_victim_minimality(const ConvexCachingPolicy& policy,
-                               const CacheState& cache, PageId victim,
-                               TimeStep time);
-  void check_index(const ConvexCachingPolicy& policy, const CacheState& cache,
-                   TimeStep time);
+                               PageId victim, TimeStep time);
+  void check_index(const ConvexCachingPolicy& policy, TimeStep time);
 
  private:
-  [[nodiscard]] const ConvexCachingPolicy* resolve(
-      ReplacementPolicy& policy) const;
   void violation(const std::string& check, const std::string& detail,
                  TimeStep time);
   void check_residency_agreement(const ConvexCachingPolicy& policy,
-                                 const CacheState& cache, TimeStep time);
-  void shadow_check(ReplacementPolicy& policy);
+                                 TimeStep time);
+  void shadow_check(const ConvexCachingPolicy* policy);
 
   AuditConfig config_;
   AuditReport report_;
-  const ConvexCachingPolicy* target_ = nullptr;
 
   // Captured from PolicyContext at on_reset.
   std::size_t capacity_ = 0;
@@ -157,6 +145,9 @@ class ConvexCachingAuditor final : public PolicyAuditor {
   bool all_convex_ = false;
 
   std::uint64_t evictions_seen_ = 0;
+  /// Resident page → owner, replayed from the observed events and
+  /// invalidations: what the policy's page table must hold.
+  util::FlatMap<TenantId> resident_;
   /// Request stream accumulated for the ALG-CONT shadow replay.
   std::vector<Request> observed_;
   bool shadow_overflow_ = false;

@@ -173,17 +173,18 @@ void ConvexCachingPolicy::rebuild_tree() {
   }
 }
 
-void ConvexCachingPolicy::maybe_roll_window(TimeStep time) {
-  if (options_.window_length == 0) return;
+void ConvexCachingPolicy::roll_window(TimeStep time) {
   const std::size_t window = time / options_.window_length;
   if (window == current_window_) return;
   current_window_ = window;
   ++counters_.window_rollovers;
   ++counters_.index_rebuilds;
   // New accounting window: every tenant's miss count restarts at zero, so
-  // every marginal — and therefore every budget — re-bases (stamps stay:
-  // no lock-free reader serves a windowed run). All keys of a
-  // tenant become equal, so each heap re-heapifies by page id.
+  // every marginal — and therefore every budget — re-bases. All keys of a
+  // tenant become equal, so each heap re-heapifies by page id. Stamps and
+  // epochs stay: with the offset and every bump back at 0, each re-based
+  // key equals fresh_key() bit for bit (DESIGN.md §10), so a page whose
+  // stamp was fresh still skips its refresh exactly.
   std::fill(evictions_.begin(), evictions_.end(), 0);
   std::fill(tenant_bump_.begin(), tenant_bump_.end(), 0.0);
   offset_ = 0.0;
@@ -200,22 +201,26 @@ void ConvexCachingPolicy::maybe_roll_window(TimeStep time) {
 // -- Fig. 3 -------------------------------------------------------------------
 
 bool ConvexCachingPolicy::hit(std::size_t slot) {
-  // Fig. 3, first bullet: refresh B(p_t) on every access. Between
-  // evictions the refreshed key is bit-identical to the stored one.
   Node& node = nodes_[pages_->handle(slot)];
+  // A fresh stamp proves that neither the offset nor the owner's marginal
+  // or bump moved since the key was frozen, so the refresh below would
+  // store the key it finds (DESIGN.md §10).
+  if (pages_->fresh(slot, node.tenant)) return true;
+  // Fig. 3, first bullet: refresh B(p_t) on every access.
   const double key = fresh_key(node.tenant);
   if (key != node.key) {
     node.key = key;
     resift(heaps_[node.tenant], node.pos);
     refresh_tenant(node.tenant);
   }
-  return pages_->restamp(slot, node.tenant);
+  pages_->restamp(slot, node.tenant);
+  return false;
 }
 
 TenantId ConvexCachingPolicy::evict(PageId victim) {
   const std::size_t slot = pages_->find(victim);
-  CCC_CHECK(slot != PageTable::kNoSlot,
-            "ConvexCaching evicting an untracked page");
+  CCC_REQUIRE(slot != PageTable::kNoSlot,
+              "ConvexCaching evicting a page that is not resident");
   const Handle handle = pages_->handle(slot);
   const Node& node = nodes_[handle];
   const TenantId owner = node.tenant;
@@ -268,8 +273,7 @@ TenantId ConvexCachingPolicy::evict(PageId victim) {
   return owner;
 }
 
-void ConvexCachingPolicy::on_insert(const Request& request, TimeStep time) {
-  maybe_roll_window(time);
+void ConvexCachingPolicy::insert(const Request& request) {
   // Fig. 3: B(p_t) ← f'(m+1). Inserted after the offset/bump updates of the
   // same step, so the new page is exempt from this step's debit — exactly
   // the "p' ∉ {p, p_t}" exclusion.
@@ -289,17 +293,8 @@ void ConvexCachingPolicy::on_insert(const Request& request, TimeStep time) {
   refresh_tenant(request.tenant);
 }
 
-void ConvexCachingPolicy::on_hit(const Request& request, TimeStep time) {
-  maybe_roll_window(time);
-  const std::size_t slot = pages_->find(request.page);
-  CCC_CHECK(slot != PageTable::kNoSlot,
-            "ConvexCaching hit on an untracked page");
-  (void)hit(slot);
-}
-
 PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
-                                          TimeStep time) {
-  maybe_roll_window(time);
+                                          TimeStep /*time*/) {
   ++counters_.evictions;
   const PageId victim = leaves_[tree_[1]].page;
   CCC_CHECK(victim != kNoPage,
@@ -307,27 +302,40 @@ PageId ConvexCachingPolicy::choose_victim(const Request& /*request*/,
   return victim;
 }
 
-void ConvexCachingPolicy::on_evict(PageId victim, TenantId owner,
-                                   TimeStep /*time*/) {
-  CCC_CHECK(evict(victim) == owner,
-            "ConvexCaching evicted a page under a wrong owner");
-}
-
-bool ConvexCachingPolicy::step(const Request& request, StepEvent& event) {
+bool ConvexCachingPolicy::step(const Request& request, TimeStep time,
+                               StepEvent& event) {
   CCC_REQUIRE(request.tenant < heaps_.size(), "request tenant out of range");
   CCC_REQUIRE(request.page != PageTable::kEmptySlot,
               "the page table reserves this page id");
+  if (options_.window_length != 0) [[unlikely]] roll_window(time);
   event = StepEvent{request, false, {}, {}};
   const std::size_t slot = pages_->find(request.page);
   event.hit = slot != PageTable::kNoSlot;
   if (event.hit) return hit(slot);
-  // Whole-run only, so the hooks' window checks below are no-ops.
   if (pages_->size() >= capacity_) {
-    event.victim = choose_victim(request, 0);
+    event.victim = choose_victim(request, time);
     event.victim_owner = evict(*event.victim);
   }
-  on_insert(request, 0);
+  insert(request);
   return false;
+}
+
+std::optional<PageId> ConvexCachingPolicy::victim_for(const Request& request,
+                                                      TimeStep time) {
+  if (options_.window_length != 0) roll_window(time);
+  if (pages_->size() < capacity_ ||
+      pages_->find(request.page) != PageTable::kNoSlot)
+    return std::nullopt;
+  return leaves_[tree_[1]].page;
+}
+
+std::vector<PageId> ConvexCachingPolicy::pages_of(TenantId tenant) const {
+  CCC_REQUIRE(tenant < heaps_.size(), "tenant out of range");
+  std::vector<PageId> pages;
+  pages.reserve(heaps_[tenant].size());
+  for (const Handle handle : heaps_[tenant])
+    pages.push_back(nodes_[handle].page);
+  return pages;
 }
 
 void ConvexCachingPolicy::resize(std::size_t capacity, Metrics& metrics) {

@@ -52,7 +52,9 @@
 /// linearization of convex ones (`make_policy("landlord")`).
 ///
 /// Residency lives in one page table (seqlock_table.hpp) that the policy
-/// alone writes and the sharded frontend's lock-free readers probe.
+/// alone writes and the sharded frontend's lock-free readers probe. Every
+/// driver — SimulatorSession and each ShardedCache shard — serves a request
+/// through step(); the policy overrides no hit, evict or insert hook.
 
 #include <cstdint>
 #include <optional>
@@ -124,15 +126,13 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
   /// readers. Nodes and heaps are reserved for ctx.capacity only, and
   /// resize() reserves more when it grows the capacity.
   void reset(const PolicyContext& ctx, std::size_t max_capacity);
-  void on_hit(const Request& request, TimeStep time) override;
+  /// The index's argmin: the page the next evicting miss takes.
   [[nodiscard]] PageId choose_victim(const Request& request,
                                      TimeStep time) override;
-  void on_evict(PageId victim, TenantId owner, TimeStep time) override;
-  void on_insert(const Request& request, TimeStep time) override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] PerfCounters perf_counters() const override {
-    return counters_;
-  }
+  /// Index work since reset(): heap pops, stale skips, rebuilds and window
+  /// rollovers. Drivers overlay requests, evictions and wall-clock time.
+  [[nodiscard]] PerfCounters perf_counters() const { return counters_; }
 
   /// Resident page → heap-node handle. Any thread may call its
   /// `try_fresh_hit`; it stays put from one reset() to the next.
@@ -141,10 +141,27 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
     return *pages_;
   }
 
-  /// One whole-run Fig. 3 request on the hooks' helpers, without a driver
-  /// (the sharded frontend's path). Fills `event`; returns true iff it was
-  /// a hit whose stamp was already current. Windows never roll here.
-  bool step(const Request& request, StepEvent& event);
+  /// One Fig. 3 request at `time`, the only request path: rolls the
+  /// accounting window first (windowed mode), then refreshes a hit or
+  /// inserts a miss, evicting the argmin when full. Fills `event`; returns
+  /// true iff it was a hit whose stamp was already current, which leaves
+  /// every table, heap and book as it was.
+  bool step(const Request& request, TimeStep time, StepEvent& event);
+
+  /// The page step(request, time, ·) will evict, after rolling the window
+  /// to `time`; nullopt when the request hits or finds room. An audited
+  /// session hands it to the auditor before the step.
+  [[nodiscard]] std::optional<PageId> victim_for(const Request& request,
+                                                 TimeStep time);
+
+  /// Evicts a resident page and charges it as a Fig. 3 eviction: the
+  /// survivors are debited its budget, and its owner's m_i and dual mass
+  /// move. step() and resize() evict the argmin through it;
+  /// SimulatorSession::invalidate evicts a named page. Returns the owner.
+  TenantId evict(PageId page);
+
+  /// The resident pages of `tenant`, in heap order.
+  [[nodiscard]] std::vector<PageId> pages_of(TenantId tenant) const;
 
   /// Sets step()'s capacity, at most reset()'s `max_capacity`. A shrink
   /// evicts the argmin through the eviction path of a miss, charging
@@ -234,12 +251,13 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
     return marginal_[tenant] - tenant_bump_[tenant] + offset_;
   }
 
-  // -- Fig. 3 steps, shared by the hooks and step() -------------------------
+  // -- Fig. 3 steps ----------------------------------------------------------
 
-  /// Refreshes and restamps the page at `slot`; true iff already fresh.
+  /// Refreshes and restamps the page at `slot` unless its stamp is already
+  /// fresh; true iff it was.
   bool hit(std::size_t slot);
-  /// Evicts a resident page; returns its owner.
-  TenantId evict(PageId victim);
+  /// Inserts the requested page with a fresh budget.
+  void insert(const Request& request);
 
   /// Room for `capacity` nodes, and for twice each tenant's fair share of
   /// it in every heap, so the steady state rarely (and after warm-up
@@ -282,7 +300,7 @@ class ConvexCachingPolicy final : public ReplacementPolicy {
 
   /// Windowed mode: on crossing a window boundary, resets miss counts and
   /// re-bases every resident budget (O(k), once per window).
-  void maybe_roll_window(TimeStep time);
+  void roll_window(TimeStep time);
 
   ConvexCachingOptions options_;
   const std::vector<CostFunctionPtr>* costs_ = nullptr;

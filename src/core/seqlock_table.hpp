@@ -268,19 +268,22 @@ class SeqlockResidencyTable {
     __builtin_prefetch(&key_[home(page)]);
   }
 
-  /// A locked hit on the page at `slot`: restamp it with its owner's
-  /// current epoch sum; true iff the stamp was already current (the
-  /// caller's resume signal). A lone relaxed store: a racing reader sees
-  /// the old stamp (conservative fallback) or the new one (the locked hit
-  /// just re-froze the budget), never an inconsistency.
-  bool restamp(std::size_t slot, std::uint32_t tenant) {
-    const std::uint64_t want = stamp_for(tenant);
-    // Relaxed pair: writer-private read; racing readers see old or new
-    // stamp, both self-consistent (doc comment above).
-    const bool was_fresh =
-        stamp_[slot].load(std::memory_order_relaxed) == want;
-    stamp_[slot].store(want, std::memory_order_relaxed);
-    return was_fresh;
+  /// The writer's no-op test for a hit on the page at `slot`, owned by
+  /// `tenant`: true iff its stamp equals `tenant`'s current epoch sum, so
+  /// re-freezing its budget now would store the key it holds.
+  [[nodiscard]] bool fresh(std::size_t slot, std::uint32_t tenant) const {
+    // Relaxed: writer-private read (see the section comment).
+    return stamp_[slot].load(std::memory_order_relaxed) == stamp_for(tenant);
+  }
+
+  /// A locked hit re-froze the budget of the page at `slot`: stamp it with
+  /// its owner's current epoch sum. A lone relaxed store: a racing reader
+  /// sees the old stamp (conservative fallback) or the new one (the budget
+  /// is already re-frozen), never an inconsistency.
+  void restamp(std::size_t slot, std::uint32_t tenant) {
+    // Relaxed: racing readers see old or new stamp, both self-consistent
+    // (doc comment above).
+    stamp_[slot].store(stamp_for(tenant), std::memory_order_relaxed);
   }
 
   /// A miss: publish stamp *then* key with a release store, so a reader

@@ -25,7 +25,7 @@ AdversaryRun run_adversary(std::uint32_t n, std::size_t length,
       // Request the unique page missing from the algorithm's cache.
       bool found = false;
       for (TenantId i = 0; i < n; ++i) {
-        if (!session.cache().contains(make_page(i, 0))) {
+        if (!session.contains(make_page(i, 0))) {
           target = i;
           found = true;
           break;

@@ -68,10 +68,8 @@ void MultiPoolManager::migrate(TenantId tenant, std::size_t pool) {
   if (from == pool) return;
   // Drop the tenant's resident pages in the old pool; they will fault back
   // in at the destination on first access.
-  std::vector<PageId> to_drop;
-  for (const auto& [page, owner] : pools_[from].session->cache().pages())
-    if (owner == tenant) to_drop.push_back(page);
-  for (const PageId page : to_drop) pools_[from].session->invalidate(page);
+  for (const PageId page : pools_[from].session->pages_of(tenant))
+    pools_[from].session->invalidate(page);
   assignment_[tenant] = pool;
   last_migration_[tenant] = clock_;
   ++migrations_;

@@ -197,20 +197,13 @@ bool ShardedCache::step(Shard& shard, const Request& request,
   // restamp, an erase with its epoch bumps, a stamp-then-key insert.
   const bool observed = shard.sampler.attached();
   if (observed) [[unlikely]] shard.sampler.start();
-  const bool fresh = shard.policy->step(request, event);
+  // Whole-run only (checked at construction): no window rolls, so the
+  // time is never read.
+  const bool fresh = shard.policy->step(request, 0, event);
   ++shard.requests;
-  if (event.hit) {
-    shard.metrics.record_hit(request.tenant);
-  } else {
-    shard.metrics.record_miss(request.tenant);
-    if (event.victim_owner.has_value())
-      shard.metrics.record_eviction(*event.victim_owner);
-  }
-  if (observed && shard.sampler.stop(event)) [[unlikely]] {
-    PerfCounters after = shard.policy->perf_counters();
-    after.requests = shard.requests;
-    shard.sampler.report(event, after);
-  }
+  record_step(shard.metrics, event);
+  if (observed && shard.sampler.stop(event)) [[unlikely]]
+    shard.sampler.report(event, shard.policy->perf_counters(), shard.requests);
   return fresh;
 }
 

@@ -8,8 +8,8 @@
 /// pages with `shard_of(page) == s` and runs its own whole-run
 /// ALG-DISCRETE instance (Fig. 3, ConvexCachingPolicy) — its page table,
 /// budgets and eviction index — plus its own books, behind a per-shard
-/// mutex. The shard steps the policy directly (ConvexCachingPolicy::step);
-/// SimulatorSession drives only the experiments. The
+/// mutex. The shard steps the policy directly (ConvexCachingPolicy::step),
+/// the same request path SimulatorSession serves the experiments on. The
 /// decomposition is sound for the paper's algorithm because ALG-DISCRETE's
 /// entire state — budgets B(p), per-tenant miss counts m(i), the global
 /// debit offset and the per-tenant bumps — is a function of the requests

@@ -7,6 +7,10 @@
 /// non-resident page is requested, and observes hits/insertions/evictions
 /// to maintain its internal metadata. Offline policies (Belady, the batch
 /// balancer) additionally receive the full trace via preview().
+///
+/// ALG-DISCRETE (ConvexCachingPolicy) is the exception: it owns its page
+/// table and serves each request through its own step(), which the
+/// simulator calls instead of these hooks.
 
 #include <functional>
 #include <memory>
@@ -14,7 +18,6 @@
 #include <string>
 
 #include "cost/cost_function.hpp"
-#include "sim/cache_state.hpp"
 #include "sim/metrics.hpp"
 #include "trace/trace.hpp"
 #include "trace/types.hpp"
@@ -27,8 +30,6 @@ struct PolicyContext {
   std::uint32_t num_tenants = 0;
   /// Per-tenant cost functions; may be null for cost-oblivious baselines.
   const std::vector<CostFunctionPtr>* costs = nullptr;
-  /// Read-only view of the live cache (owned by the simulator).
-  const CacheState* cache = nullptr;
   /// Seed for randomized policies.
   std::uint64_t seed = 0;
 };
@@ -80,13 +81,6 @@ class ReplacementPolicy {
   }
 
   [[nodiscard]] virtual std::string name() const = 0;
-
-  /// Index-work counters accumulated since reset(). Policies with internal
-  /// heaps (ConvexCaching in every mode, Landlord included) report
-  /// pops/stale skips/rebuilds; the default reports zeros. The simulator
-  /// overlays requests, evictions and wall-clock time on top of whatever
-  /// the policy returns.
-  [[nodiscard]] virtual PerfCounters perf_counters() const { return {}; }
 };
 
 /// Builds fresh policy instances — one per pool (multipool) or per shard

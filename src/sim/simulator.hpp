@@ -29,10 +29,26 @@ struct StepEvent {
   std::optional<TenantId> victim_owner;
 };
 
+/// Books one step's outcome: a hit, or a miss and the eviction it forced.
+/// SimulatorSession and every ShardedCache shard book through this.
+inline void record_step(Metrics& metrics, const StepEvent& event) {
+  if (event.hit) {
+    metrics.record_hit(event.request.tenant);
+    return;
+  }
+  metrics.record_miss(event.request.tenant);
+  if (event.victim_owner.has_value())
+    metrics.record_eviction(*event.victim_owner);
+}
+
+class ConvexCachingPolicy;
+
 /// Runtime-verification hook observed by the simulator (the `src/audit`
 /// subsystem implements it). The call sites are compiled into every build;
 /// attaching an auditor is a runtime choice (`SimOptions::auditor`), and a
 /// session without one pays one predictable null-pointer branch per hook.
+/// `policy` is the session's ALG-DISCRETE, or null when it drives a
+/// baseline.
 class PolicyAuditor {
  public:
   virtual ~PolicyAuditor() = default;
@@ -40,20 +56,24 @@ class PolicyAuditor {
   /// The session was (re)initialized; `ctx` is what the policy saw.
   virtual void on_reset(const PolicyContext& ctx) = 0;
 
-  /// `choose_victim`/`quota_victim` returned `victim`, which is still
-  /// resident — budgets can be inspected before the eviction is applied.
-  virtual void on_victim_chosen(const Request& request, PageId victim,
-                                const CacheState& cache,
-                                ReplacementPolicy& policy, TimeStep time) = 0;
+  /// ALG-DISCRETE only: the next step() will evict `victim`, still
+  /// resident and after any window rollover, so budgets can be inspected
+  /// before the eviction is applied.
+  virtual void on_victim_chosen(PageId victim,
+                                const ConvexCachingPolicy& policy,
+                                TimeStep time) = 0;
 
   /// One request has been fully processed.
-  virtual void on_step(const StepEvent& event, const CacheState& cache,
-                       ReplacementPolicy& policy, TimeStep time) = 0;
+  virtual void on_step(const StepEvent& event,
+                       const ConvexCachingPolicy* policy, TimeStep time) = 0;
+
+  /// `page` left the cache outside the request path
+  /// (SimulatorSession::invalidate).
+  virtual void on_invalidate(PageId page) = 0;
 
   /// The request loop is over (run_trace calls this; hand-driven sessions
   /// call SimulatorSession::end_run()).
-  virtual void on_run_end(const CacheState& cache,
-                          ReplacementPolicy& policy) = 0;
+  virtual void on_run_end(const ConvexCachingPolicy* policy) = 0;
 };
 
 /// Observability hook observed by the simulator (the `src/obs` subsystem
@@ -132,8 +152,10 @@ class StepSampler {
     return sampled_ || event.victim.has_value();
   }
 
-  /// `after`: the policy counters now, requests included.
-  void report(const StepEvent& event, const PerfCounters& after) {
+  /// `after`: the policy counters now; `requests`: the driver's steps.
+  void report(const StepEvent& event, PerfCounters after,
+              std::uint64_t requests) {
+    after.requests = requests;
     observer_->on_step(event, latency_ns_, last_, after);
     last_ = after;
   }
@@ -170,6 +192,12 @@ struct SimResult {
 /// Step-wise simulation session. Use this directly when the request stream
 /// is *adaptive* (the Theorem 1.4 adversary inspects the cache between
 /// requests); use run_trace() for a fixed trace.
+///
+/// ALG-DISCRETE (ConvexCachingPolicy, Landlord included) is recognised once,
+/// at construction, and served through its own step() — the request path
+/// every ShardedCache shard runs — with its page table as the only
+/// residency record. Every other policy is driven through the
+/// ReplacementPolicy hooks beside the session's own CacheState.
 class SimulatorSession {
  public:
   /// `costs` may be null for cost-oblivious policies; when provided it must
@@ -192,7 +220,12 @@ class SimulatorSession {
   /// eviction. Throws if the page is not resident.
   void invalidate(PageId page);
 
-  [[nodiscard]] const CacheState& cache() const noexcept { return cache_; }
+  /// Residency, answered from whichever record the session drives.
+  [[nodiscard]] bool contains(PageId page) const;
+  [[nodiscard]] std::size_t size() const;
+  /// The resident pages of `tenant`, in no particular order.
+  [[nodiscard]] std::vector<PageId> pages_of(TenantId tenant) const;
+
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] TimeStep now() const noexcept { return time_; }
 
@@ -206,10 +239,15 @@ class SimulatorSession {
   StepEvent step_impl(const Request& request);
   /// The observed wrapper: step_impl under the sampler.
   StepEvent step_observed(const Request& request);
+  /// A baseline's request: the hooks, beside `cache_`.
+  void step_hooks(const Request& request, StepEvent& event);
 
-  CacheState cache_;
   Metrics metrics_;
   ReplacementPolicy& policy_;
+  /// The policy when it is ALG-DISCRETE, else null.
+  ConvexCachingPolicy* convex_;
+  /// The baselines' residency record; empty when `convex_` is set.
+  std::optional<CacheState> cache_;
   PolicyAuditor* auditor_ = nullptr;
   StepSampler sampler_;
   TimeStep time_ = 0;

@@ -18,7 +18,7 @@ TEST(Arc, SingleAccessPagesStayProbationary) {
   session.step({0, 1});
   session.step({0, 1});  // hit → T2
   for (int p = 10; p < 30; ++p) session.step({0, static_cast<PageId>(p)});
-  EXPECT_TRUE(session.cache().contains(1))
+  EXPECT_TRUE(session.contains(1))
       << "the frequency list must shield the twice-accessed page";
 }
 
@@ -34,7 +34,7 @@ TEST(Arc, GhostHitGrowsRecencyTarget) {
   session.step({0, 2});
   session.step({0, 3});
   session.step({0, 4});  // evicts 2 from T1 into B1
-  EXPECT_FALSE(session.cache().contains(2));
+  EXPECT_FALSE(session.contains(2));
   session.step({0, 2});  // B1 ghost hit
   EXPECT_GT(arc.target_p(), 0.0);
 }
@@ -65,7 +65,7 @@ TEST(Arc, TargetPStaysWithinCapacity) {
     session.step(r);
     EXPECT_GE(arc.target_p(), 0.0);
     EXPECT_LE(arc.target_p(), 8.0);
-    EXPECT_LE(session.cache().size(), 8u);
+    EXPECT_LE(session.size(), 8u);
   }
 }
 
@@ -101,7 +101,7 @@ TEST(Arc, SurvivesInvalidation) {
   session.step({0, 1});
   session.step({0, 2});
   session.invalidate(1);
-  EXPECT_FALSE(session.cache().contains(1));
+  EXPECT_FALSE(session.contains(1));
   EXPECT_FALSE(session.step({0, 1}).hit);
 }
 

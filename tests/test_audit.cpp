@@ -13,7 +13,6 @@
 #include <limits>
 #include <memory>
 #include <ostream>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -71,7 +70,8 @@ struct AuditTestPeer {
   static void stale_leaf(ConvexCachingPolicy& p, TenantId tenant) {
     p.leaves_[tenant].score -= 1.0;
   }
-  /// Hands the tree root to a tenant that does not win it.
+  /// Hands the tree root to a tenant that does not win it. When that
+  /// tenant is resident, the next miss takes its best page.
   static void stale_root(ConvexCachingPolicy& p) {
     const TenantId winner = p.tree_[1];
     for (TenantId t = 0; t < p.heaps_.size(); ++t)
@@ -152,7 +152,7 @@ struct Rig {
     return options;
   }
 
-  void audit_now() { auditor.audit_now(policy, session.cache(), session.now()); }
+  void audit_now() { auditor.audit_now(policy, session.now()); }
 
   std::vector<CostFunctionPtr> costs;
   ConvexCachingPolicy policy;
@@ -350,7 +350,8 @@ TEST(AuditMutation, BumpShiftWithoutRefreshBreaksTree) {
 
 TEST(AuditMutation, UntrackedPageBreaksResidencyAgreement) {
   Rig rig;
-  const PageId page = rig.session.cache().pages().begin()->first;
+  const PageId page =
+      rig.session.pages_of(AuditTestPeer::tenant_with(rig.policy, 1)).front();
   AuditTestPeer::drop_page_tracking(rig.policy, page);
   rig.audit_now();
   EXPECT_TRUE(fired(rig.auditor.report(), "residency"))
@@ -410,67 +411,45 @@ TEST(AuditMutation, RecordedFailuresAreCappedButCounted) {
   EXPECT_EQ(report.failures.size(), 2u);
 }
 
+TEST(AuditResidency, InvalidationsReachTheReplayedResidentSet) {
+  Rig rig;
+  // A migration's invalidations leave the request path: the replayed
+  // resident set must drop the pages too, or it reports the table short.
+  const std::vector<PageId> dropped = rig.session.pages_of(1);
+  ASSERT_FALSE(dropped.empty());
+  for (const PageId page : dropped) rig.session.invalidate(page);
+  for (std::uint64_t i = 0; i < 8; ++i)
+    rig.session.step({static_cast<TenantId>(i % 2), PageId{500} + i});
+  rig.audit_now();
+  const AuditReport& report = rig.auditor.report();
+  EXPECT_FALSE(fired(report, "residency")) << report.summary();
+  EXPECT_GT(report.index_checks, 0u);
+}
+
 // ---------------------------------------------------------------------------
-// Victim minimality via a wrapper policy that lies about its choice.
-
-/// Delegates everything to an inner ConvexCachingPolicy but swaps the
-/// chosen victim for some *other* resident page. Any substitute is wrong:
-/// either its budget is larger than the minimum, or it ties and loses the
-/// lowest-page-id tie-break (the honest index already returns the
-/// lowest-id minimum).
-class WrongVictimPolicy final : public ReplacementPolicy {
- public:
-  ConvexCachingPolicy& inner() noexcept { return inner_; }
-
-  void reset(const PolicyContext& ctx) override {
-    resident_.clear();
-    inner_.reset(ctx);
-  }
-  void on_hit(const Request& request, TimeStep time) override {
-    inner_.on_hit(request, time);
-  }
-  [[nodiscard]] PageId choose_victim(const Request& request,
-                                     TimeStep time) override {
-    const PageId honest = inner_.choose_victim(request, time);
-    for (const PageId page : resident_)
-      if (page != honest) return page;
-    return honest;
-  }
-  void on_evict(PageId victim, TenantId owner, TimeStep time) override {
-    resident_.erase(victim);
-    inner_.on_evict(victim, owner, time);
-  }
-  void on_insert(const Request& request, TimeStep time) override {
-    resident_.insert(request.page);
-    inner_.on_insert(request, time);
-  }
-  [[nodiscard]] std::string name() const override { return "wrong-victim"; }
-
- private:
-  ConvexCachingPolicy inner_;
-  std::set<PageId> resident_;
-};
+// Victim minimality against a corrupted index.
 
 TEST(AuditMutation, WrongVictimFailsMinimalityCheck) {
-  const std::uint32_t tenants = 2;
-  const auto costs = monomial_costs(tenants);
-  WrongVictimPolicy policy;
   AuditConfig config;
   // Evicting a non-minimal page debits survivors too much, so budget and
   // index checks would fire as collateral — disable them to pin the
   // verdict on the victim check alone.
   config.check_budget_bounds = false;
   config.check_index = false;
-  ConvexCachingAuditor auditor(config);
-  auditor.set_target(&policy.inner());
-  SimOptions sim_options;
-  sim_options.auditor = &auditor;
-  SimulatorSession session(3, tenants, policy, &costs, sim_options);
-  for (std::uint64_t i = 0; i < 12; ++i)
-    session.step({static_cast<TenantId>(i % tenants), PageId{20} + i});
-  session.end_run();
+  Rig rig({}, config, 2, 3);
+  rig.session.step({0, 998});  // both tenants resident
+  ASSERT_FALSE(rig.session.pages_of(0).empty());
+  ASSERT_FALSE(rig.session.pages_of(1).empty());
+  // The tree root now names the other resident tenant. Any page it offers
+  // is wrong: either its budget is larger than the minimum, or it ties and
+  // loses the lowest-page-id tie-break (the honest root already holds the
+  // lowest-id minimum).
+  AuditTestPeer::stale_root(rig.policy);
+  const StepEvent event = rig.session.step({0, 999});
+  rig.session.end_run();
 
-  const AuditReport& report = auditor.report();
+  ASSERT_TRUE(event.victim.has_value());
+  const AuditReport& report = rig.auditor.report();
   EXPECT_FALSE(report.ok());
   EXPECT_GT(report.victim_checks, 0u);
   EXPECT_TRUE(fired(report, "victim-minimality")) << report.summary();

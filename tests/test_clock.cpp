@@ -74,7 +74,7 @@ TEST(Clock, SurvivesInvalidation) {
   session.invalidate(2);
   EXPECT_FALSE(session.step({0, 2}).hit);  // re-misses cleanly
   session.step({0, 4});                    // forces a normal eviction
-  EXPECT_LE(session.cache().size(), 3u);
+  EXPECT_LE(session.size(), 3u);
 }
 
 TEST(Clock, ContractOnRandomTraces) {

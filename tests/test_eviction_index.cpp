@@ -1,8 +1,9 @@
 // Tests for the eviction index of ConvexCachingPolicy (per-tenant heaps
 // under a tenant winner tree): randomized differential replay against a
-// full scan of the policy's own effective budgets, against the literal
-// Fig. 3 transcription (NaiveConvexCachingPolicy) and under the audit
-// layer, in the analytic and the Landlord (first-marginal) mode;
+// full scan of the policy's own effective budgets (the audit layer's
+// victim check), against the literal Fig. 3 transcription
+// (NaiveConvexCachingPolicy) and under the full audit layer, in the
+// analytic and the Landlord (first-marginal) mode;
 // tie-breaking (including keys that round to one score), window-rollover
 // rebuilds, and the perf counters surfaced through SimResult.
 //
@@ -27,60 +28,35 @@
 namespace ccc {
 namespace {
 
-/// Drives a ConvexCachingPolicy and, at every eviction, compares its victim
-/// with a full scan of the resident pages' effective budgets (lowest page
-/// id on ties) — Fig. 3's "page with the smallest B(p)" with no index.
-class ScanCheckedPolicy final : public ReplacementPolicy {
- public:
-  explicit ScanCheckedPolicy(ConvexCachingOptions options = {})
-      : inner_(options) {}
+/// Runs ALG-DISCRETE in `mode` under the auditor, whose victim check scans
+/// the resident pages' effective budgets (lowest page id on ties) — Fig.
+/// 3's "page with the smallest B(p)" with no index — and must find the
+/// index's victim at every eviction. `full_audit` adds the budget and index
+/// checks.
+SimResult run_scan_checked(const Trace& trace, std::size_t k,
+                           const std::vector<CostFunctionPtr>& costs,
+                           const ConvexCachingOptions& mode,
+                           bool full_audit = false) {
+  ConvexCachingPolicy policy(mode);
+  AuditConfig config;
+  config.check_budget_bounds = full_audit;
+  config.check_index = full_audit;
+  ConvexCachingAuditor auditor(config);
+  const SimOptions options{.record_events = true, .auditor = &auditor};
+  SimResult result = run_trace(trace, k, policy, &costs, options);
+  const AuditReport& report = auditor.report();
+  EXPECT_TRUE(report.ok()) << report.summary();
+  EXPECT_EQ(report.victim_checks, result.metrics.total_evictions());
+  EXPECT_EQ(report.budget_checks > 0, full_audit);
+  return result;
+}
 
-  void reset(const PolicyContext& ctx) override {
-    cache_ = ctx.cache;
-    mismatches_ = 0;
-    inner_.reset(ctx);
-  }
-  void on_hit(const Request& request, TimeStep time) override {
-    inner_.on_hit(request, time);
-  }
-  [[nodiscard]] PageId choose_victim(const Request& request,
-                                     TimeStep time) override {
-    const PageId victim = inner_.choose_victim(request, time);
-    bool found = false;
-    double best = 0.0;
-    PageId best_page = 0;
-    for (const auto [page, owner] : cache_->pages()) {
-      (void)owner;
-      const double b = inner_.budget(page);
-      if (!found || b < best || (b == best && page < best_page)) {
-        found = true;
-        best = b;
-        best_page = page;
-      }
-    }
-    if (best_page != victim) ++mismatches_;
-    return victim;
-  }
-  void on_evict(PageId victim, TenantId owner, TimeStep time) override {
-    inner_.on_evict(victim, owner, time);
-  }
-  void on_insert(const Request& request, TimeStep time) override {
-    inner_.on_insert(request, time);
-  }
-  [[nodiscard]] std::string name() const override { return inner_.name(); }
-
-  /// Evictions where the index and the scan disagreed.
-  [[nodiscard]] std::size_t mismatches() const noexcept { return mismatches_; }
-  /// The wrapped policy, for an auditor's set_target.
-  [[nodiscard]] const ConvexCachingPolicy& inner() const noexcept {
-    return inner_;
-  }
-
- private:
-  ConvexCachingPolicy inner_;
-  const CacheState* cache_ = nullptr;
-  std::size_t mismatches_ = 0;
-};
+SimResult run_naive(const Trace& trace, std::size_t k,
+                    const std::vector<CostFunctionPtr>& costs,
+                    const ConvexCachingOptions& mode) {
+  NaiveConvexCachingPolicy naive(mode);
+  return run_trace(trace, k, naive, &costs, {.record_events = true});
+}
 
 /// Mixed multi-tenant workload: tenant t cycles through Zipf, sequential
 /// scan and shifting-working-set generators, with unequal request rates.
@@ -156,22 +132,10 @@ void expect_index_scan_naive_audit_agree(const DiffCase& c,
   const Trace trace =
       mixed_trace(c.tenants, c.pages_per_tenant, c.length, c.seed);
   const auto costs = integer_costs(c.tenants);
-
-  ScanCheckedPolicy indexed(mode);
-  NaiveConvexCachingPolicy naive(mode);
-  ConvexCachingAuditor auditor;
-  auditor.set_target(&indexed.inner());
-  SimOptions options;
-  options.record_events = true;
-  const SimResult n = run_trace(trace, c.k, naive, &costs, options);
-  options.auditor = &auditor;
-  const SimResult g = run_trace(trace, c.k, indexed, &costs, options);
-  EXPECT_EQ(indexed.mismatches(), 0u) << "index vs scan";
-  expect_identical_decisions(g, n, "index vs naive");
-  const AuditReport& report = auditor.report();
-  EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_GT(report.victim_checks, 0u);
-  EXPECT_GT(report.budget_checks, 0u);
+  const SimResult g = run_scan_checked(trace, c.k, costs, mode, true);
+  EXPECT_GT(g.metrics.total_evictions(), 0u);
+  expect_identical_decisions(g, run_naive(trace, c.k, costs, mode),
+                             "index vs naive");
 }
 
 TEST_P(EvictionIndexDifferentialTest, GlobalScanAndNaiveAgree) {
@@ -209,14 +173,9 @@ TEST(EvictionIndexDifferential, EraseHeavyChurnAgreesAcrossIndexes) {
   for (const std::uint64_t seed : {41u, 42u, 43u}) {
     const Trace trace = mixed_trace(6, 256, 4000, seed);
     const auto costs = integer_costs(6);
-    ScanCheckedPolicy indexed;
-    NaiveConvexCachingPolicy naive;
-    SimOptions options;
-    options.record_events = true;
-    const SimResult g = run_trace(trace, 8, indexed, &costs, options);
-    const SimResult n = run_trace(trace, 8, naive, &costs, options);
-    EXPECT_EQ(indexed.mismatches(), 0u) << "churn index vs scan";
-    expect_identical_decisions(g, n, "churn index vs naive");
+    const SimResult g = run_scan_checked(trace, 8, costs, {});
+    expect_identical_decisions(g, run_naive(trace, 8, costs, {}),
+                               "churn index vs naive");
     // At capacity 8 over a 1536-page universe, misses dominate: the churn
     // premise (an eviction on nearly every step) must actually hold.
     EXPECT_GT(g.metrics.total_evictions(), trace.size() / 2);
@@ -240,14 +199,9 @@ TEST(EvictionIndexDifferential, NonConvexCostsAgreeAcrossIndexes) {
     ConvexCachingOptions discrete;
     discrete.derivative = DerivativeMode::kDiscreteMarginal;
 
-    ScanCheckedPolicy indexed(discrete);
-    NaiveConvexCachingPolicy naive(discrete);
-    SimOptions options;
-    options.record_events = true;
-    const SimResult g = run_trace(trace, 10, indexed, &costs, options);
-    const SimResult n = run_trace(trace, 10, naive, &costs, options);
-    EXPECT_EQ(indexed.mismatches(), 0u) << "non-convex index vs scan";
-    expect_identical_decisions(g, n, "non-convex index vs naive");
+    expect_identical_decisions(run_scan_checked(trace, 10, costs, discrete),
+                               run_naive(trace, 10, costs, discrete),
+                               "non-convex index vs naive");
   }
 }
 
@@ -334,10 +288,8 @@ TEST(EvictionIndexWindow, GlobalAndScanAgreeAcrossBoundaries) {
     const auto costs = integer_costs(8);
     ConvexCachingOptions windowed;
     windowed.window_length = window;
-    ScanCheckedPolicy indexed(windowed);
-    const SimResult g = run_trace(trace, 12, indexed, &costs);
+    const SimResult g = run_scan_checked(trace, 12, costs, windowed);
     EXPECT_GT(g.perf.evictions, 0u) << "window=" << window;
-    EXPECT_EQ(indexed.mismatches(), 0u) << "window=" << window;
   }
 }
 

@@ -59,7 +59,7 @@ TEST(LruK, TwiceReferencedPageOutlivesSingletons) {
   SimulatorSession session(2, 1, fresh, nullptr);
   for (const int p : {1, 1, 2, 3, 1, 4})
     session.step({0, static_cast<PageId>(p)});
-  EXPECT_TRUE(session.cache().contains(1));
+  EXPECT_TRUE(session.contains(1));
 }
 
 TEST(LruK, RejectsZeroK) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/convex_caching.hpp"
 #include "cost/monomial.hpp"
 #include "policies/lru.hpp"
 #include "trace/generators.hpp"
@@ -106,6 +107,72 @@ TEST(MultiPool, SeparatePoolsBeatOneSharedPoolUnderPressure) {
   two.replay(t);
 
   EXPECT_LT(two.report().miss_cost, one.report().miss_cost);
+}
+
+TEST(MultiPool, AlgDiscreteMigrationChargesEachDropAsAnEviction) {
+  // Two ALG-DISCRETE pools; the factory records each pool's policy so the
+  // test can read its books.
+  std::vector<const ConvexCachingPolicy*> pools;
+  const PolicyFactory recording = [&pools, convex = make_convex_factory()] {
+    std::unique_ptr<ReplacementPolicy> policy = convex();
+    pools.push_back(static_cast<const ConvexCachingPolicy*>(policy.get()));
+    return policy;
+  };
+  MultiPoolOptions options;
+  options.pool_capacities = {6, 6};
+  const auto costs = quad_costs(3);
+  MultiPoolManager mgr(options, recording, {0, 0, 1}, costs);
+  ASSERT_EQ(pools.size(), 2u);
+
+  // A replica of pool 0 prices each drop: Fig. 3 raises the dual by the
+  // dropped page's budget at that moment and debits the survivors by it.
+  ConvexCachingPolicy replica;
+  SimulatorSession replica_session(6, 3, replica, &costs);
+  Rng rng(83);
+  std::uint64_t requests = 0;
+  const auto traffic = [&] {
+    for (int i = 0; i < 300; ++i, ++requests) {
+      const auto tenant = static_cast<TenantId>(rng.next_below(3));
+      const PageId page = make_page(tenant, rng.next_below(5));
+      if (mgr.pool_of(tenant) == 0) replica_session.step({tenant, page});
+      mgr.access(tenant, page);
+    }
+  };
+  traffic();
+  const ConvexCachingPolicy& old_pool = *pools[0];
+  const std::vector<PageId> dropped = old_pool.pages_of(0);
+  ASSERT_FALSE(dropped.empty());
+  const std::uint64_t m_before = old_pool.tenant_evictions()[0];
+  const double mass_before = old_pool.dual_mass_by_tenant()[0];
+  double mass = mass_before;
+  for (const PageId page : dropped) {
+    mass += replica.budget(page);
+    replica_session.invalidate(page);
+  }
+  mgr.migrate(0, 1);
+  for (const PageId page : dropped)
+    EXPECT_EQ(old_pool.page_table().find(page),
+              ConvexCachingPolicy::PageTable::kNoSlot);
+  EXPECT_EQ(old_pool.tenant_evictions()[0], m_before + dropped.size());
+  EXPECT_GT(mass, mass_before);
+  EXPECT_EQ(old_pool.dual_mass_by_tenant()[0], mass);
+  EXPECT_EQ(old_pool.tenant_evictions(), replica.tenant_evictions());
+
+  // Tenant 2 moves the other way, and its pages leave pool 1 alike.
+  traffic();
+  const std::size_t moved = pools[1]->pages_of(2).size();
+  const std::uint64_t m2_before = pools[1]->tenant_evictions()[2];
+  mgr.migrate(2, 0);
+  EXPECT_TRUE(pools[1]->pages_of(2).empty());
+  EXPECT_EQ(pools[1]->tenant_evictions()[2], m2_before + moved);
+  traffic();
+
+  const MultiPoolReport report = mgr.report();
+  EXPECT_EQ(report.migrations, 2u);
+  std::uint64_t served = 0;
+  for (std::size_t t = 0; t < 3; ++t)
+    served += report.hits[t] + report.misses[t];
+  EXPECT_EQ(served, requests);
 }
 
 TEST(MultiPool, ValidatesConfiguration) {

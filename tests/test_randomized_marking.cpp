@@ -22,7 +22,7 @@ TEST(RandomizedMarking, NeverEvictsMarkedPageWithinPhase) {
   // One of {1,2,3} was evicted; 4 is marked. Touch the two survivors.
   std::vector<PageId> survivors;
   for (const int p : {1, 2, 3})
-    if (session.cache().contains(static_cast<PageId>(p)))
+    if (session.contains(static_cast<PageId>(p)))
       survivors.push_back(static_cast<PageId>(p));
   ASSERT_EQ(survivors.size(), 2u);
   session.step({0, survivors[0]});

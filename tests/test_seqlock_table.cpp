@@ -90,10 +90,11 @@ TEST(SeqlockTable, TenantRefreshOnlyEvictionStalesOnlyTheVictimTenant) {
   EXPECT_TRUE(table.try_fresh_hit(3, 1));   // other tenant: untouched
   EXPECT_TRUE(table.try_fresh_hit(4, 0));   // incoming page: post-bump stamp
 
-  // Writer resume signal: the first locked restamp reports the stamp was
-  // stale, the second reports it was already current.
-  EXPECT_FALSE(table.restamp(table.find(2), 0));
-  EXPECT_TRUE(table.restamp(table.find(2), 0));
+  // Writer resume signal: the stamp reads stale until a locked restamp,
+  // current after it.
+  EXPECT_FALSE(table.fresh(table.find(2), 0));
+  table.restamp(table.find(2), 0);
+  EXPECT_TRUE(table.fresh(table.find(2), 0));
   EXPECT_TRUE(table.try_fresh_hit(2, 0));
 }
 
@@ -168,7 +169,8 @@ TEST(SeqlockTable, EraseOnlyShrinkStalesWhatItMovedAndKeepsHandles) {
   handles_follow_pages(2);
   EXPECT_FALSE(table.try_fresh_hit(chain[2], 0));
   EXPECT_FALSE(table.try_fresh_hit(chain[3], 1));
-  EXPECT_FALSE(table.restamp(table.find(chain[2]), 0));
+  EXPECT_FALSE(table.fresh(table.find(chain[2]), 0));
+  table.restamp(table.find(chain[2]), 0);
   EXPECT_TRUE(table.try_fresh_hit(chain[2], 0));
   EXPECT_FALSE(table.try_fresh_hit(chain[3], 1));  // still stale
 

@@ -791,7 +791,6 @@ TEST(ShardedCacheFusedTable, RandomizedReplayKeepsEveryTableExact) {
   const std::size_t rebalance_every = 2500;
   const Trace trace = zipf_trace(tenants, 40, 15000, 131);
   const auto costs = quadratic_costs(tenants);
-  const CacheState unused(1);  // check_index reads only the policy
 
   for (const HitPath path : {HitPath::kLocked, HitPath::kSeqlock}) {
     for (const std::size_t shards : {1u, 4u}) {
@@ -852,7 +851,7 @@ TEST(ShardedCacheFusedTable, RandomizedReplayKeepsEveryTableExact) {
               ASSERT_EQ(table_pages(policy), resident[s])
                   << "shard " << s << " after request " << begin;
               EXPECT_EQ(policy.page_table().size(), resident[s].size());
-              auditor.check_index(policy, unused, begin);
+              auditor.check_index(policy, begin);
             });
         ASSERT_TRUE(auditor.report().ok()) << auditor.report().summary();
       }

@@ -54,8 +54,8 @@ TEST(Simulator, SessionStepInterface) {
   EXPECT_FALSE(session.step({0, 1}).hit);
   EXPECT_FALSE(session.step({0, 2}).hit);
   EXPECT_TRUE(session.step({0, 1}).hit);
-  EXPECT_TRUE(session.cache().contains(1));
-  EXPECT_TRUE(session.cache().contains(2));
+  EXPECT_TRUE(session.contains(1));
+  EXPECT_TRUE(session.contains(2));
   EXPECT_EQ(session.now(), 3u);
 }
 
@@ -65,7 +65,7 @@ TEST(Simulator, InvalidateRemovesAndNotifies) {
   session.step({0, 1});
   session.step({0, 2});
   session.invalidate(1);
-  EXPECT_FALSE(session.cache().contains(1));
+  EXPECT_FALSE(session.contains(1));
   EXPECT_EQ(session.metrics().evictions(0), 1u);
   // LRU must have dropped its bookkeeping: a fresh page must not crash and
   // the invalidated page re-misses.
@@ -80,8 +80,8 @@ TEST(Simulator, CacheNeverExceedsCapacity) {
   SimulatorSession session(3, 2, lru, nullptr);
   for (const Request& r : t) {
     session.step(r);
-    EXPECT_LE(session.cache().size(), 3u);
-    EXPECT_TRUE(session.cache().contains(r.page));
+    EXPECT_LE(session.size(), 3u);
+    EXPECT_TRUE(session.contains(r.page));
   }
 }
 

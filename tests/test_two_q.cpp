@@ -41,12 +41,12 @@ TEST(TwoQ, GhostReReferencePromotesToProtected) {
   SimulatorSession session(4, 1, two_q, nullptr);
   for (const int p : {1, 2, 3, 4}) session.step({0, static_cast<PageId>(p)});
   session.step({0, 5});  // A1in over quota → evict 1 → ghost
-  EXPECT_FALSE(session.cache().contains(1));
+  EXPECT_FALSE(session.contains(1));
   session.step({0, 1});  // ghost hit → evict 2, promote 1 into Am
-  EXPECT_TRUE(session.cache().contains(1));
+  EXPECT_TRUE(session.contains(1));
   session.step({0, 6});  // churns A1in, not Am
   session.step({0, 7});
-  EXPECT_TRUE(session.cache().contains(1));
+  EXPECT_TRUE(session.contains(1));
 }
 
 TEST(TwoQ, ValidatesParameters) {
